@@ -426,13 +426,6 @@ def profile_config(label: str, top: int = 20) -> None:
     print(f"# top {top} functions by cumulative time, config={label}")
     print(f"# trace coverage: {traced}/{steps} instructions retired "
           f"inside trace runs ({100.0 * traced / max(steps, 1):.1f}%)")
-    obs = binary._obs_stats
-    if obs and (obs["hits"] or obs["compiles"]):
-        lookups = obs["hits"] + obs["compiles"]
-        print(f"# shared observed tables: {obs['hits']}/{lookups} "
-              f"lookups hit a run another instance compiled "
-              f"({100.0 * obs['hits'] / lookups:.1f}% hit rate, "
-              f"{obs['compiles']} compiles)")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -40,10 +40,10 @@ class Binary:
     _threaded_cache: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
     #: Opaque slot for compiled superblock runs, keyed by
-    #: ``(entry pc, instruction count, barrier elision)`` — which fully
-    #: determines a run over an immutable image.  Shared across CPUs so
-    #: each distinct run shape is compiled once per process, not once
-    #: per launch.
+    #: ``(entry pc, instruction count, barrier elision, observed pcs)``
+    #: — which fully determines a run over an immutable image.  Shared
+    #: across CPUs so each distinct run shape is compiled once per
+    #: process, not once per launch.
     _run_cache: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
     #: Opaque slot for decoded basic blocks, shared by every BlockMap on
@@ -52,9 +52,10 @@ class Binary:
     _block_cache: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
     #: Opaque slot for the shared run/trace tables, keyed by the
-    #: barrier-elision premise: {elide: (runs, traces)}.  Compiled
-    #: entries are anchor-blind pure shapes over the immutable image;
-    #: each CPU excludes the ones its own anchors poison (see
+    #: compilation plan: {(elide, lazy subscribers): (filter epoch,
+    #: runs, traces)} (see ``CPU._bind_plan``).  Compiled entries are
+    #: anchor-blind pure shapes over the immutable image; each CPU
+    #: excludes the ones its own anchors poison (see
     #: ``CPU._refresh_generation``), so a freshly launched instance
     #: inherits everything earlier instances compiled.
     _shared_tables: "dict | None" = field(
@@ -81,26 +82,11 @@ class Binary:
     #: image, not once per learning CPU.
     _extractor_cache: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
-    #: Shared observed (learning-mode) runs, keyed by ``(entry pc,
-    #: instruction count)``; segment ops carry the shared extractors.
-    #: Observed runs never elide barriers, so one table suffices.
-    _obs_run_cache: "dict | None" = field(
-        default=None, init=False, repr=False, compare=False)
-    #: Shared observed trace runs keyed by head pc:
-    #: ``(stitched run, member bounds)``.
-    _obs_trace_cache: "dict | None" = field(
-        default=None, init=False, repr=False, compare=False)
-    #: Filtered instances of shared observed runs/traces, keyed by
-    #: ``(id(shared shape), subscriber tuple, filter epoch)`` — the
-    #: shape is pinned forever by the caches above, so its id is a
-    #: stable key, and the subscriber tuple in the key pins the hooks.
-    #: Lets a freshly launched CPU inherit the filtering work (usually
-    #: the observe-everything identity) instead of redoing it per run.
-    _obs_instance_cache: "dict | None" = field(
-        default=None, init=False, repr=False, compare=False)
-    #: Observed-table accounting: {"hits": n, "compiles": n}, read by
-    #: the benchmark profiler to report the shared-table hit rate.
-    _obs_stats: "dict | None" = field(
+    #: Shared trace runs, keyed by the identities of their member runs
+    #: (see ``CPU._build_trace``): a trace is a pure function of its
+    #: members, so every compilation plan whose members coincide
+    #: executes the same trace object.
+    _trace_cache: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
     #: Recorded trace paths: head pc -> tuple of member entry pcs (or
     #: False for heads a recording refused).  Paths are *observations*

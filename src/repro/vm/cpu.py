@@ -9,9 +9,10 @@ policy-free.
 Execution is table driven: each opcode indexes ``_DISPATCH`` to its
 handler, and events reach only their subscribers.  When nothing
 subscribes to the per-instruction events (``before_instruction``,
-``after_instruction``, operand observation), :meth:`CPU.run` drops into a
-fast inner loop that skips event dispatch entirely and probes only the
-pc-anchored routing tables (where patches and the code cache live), so a
+``after_instruction``, eager ``on_operands`` observation),
+:meth:`CPU.run` drops into a fast inner loop that skips event dispatch
+entirely and probes only the pc-anchored routing tables (where patches
+and the code cache live), so a
 fully monitored run and a bare run execute bit-identically — the monitors
 still see every store and transfer — while the bare run pays none of the
 hook plumbing.
@@ -50,21 +51,25 @@ traces) compile into single segments with no per-segment re-validation.
 Attaching such a subscriber flips the elision premise; every compiled
 run is discarded and lazily recompiled with barriers restored.
 
-Learning mode has its own loop, :meth:`CPU._run_observed`: instead of
-building a dict-shaped observation per instruction it appends compiled
-raw snapshots (:mod:`repro.vm.observe`) to a ring buffer, and only for
-the pcs its ``lazy_operands`` subscribers actually trace — so
-observation cost is confined to traced procedures at the kernel level,
-not the front end.  The observed loop mirrors the bare one structurally:
-its runs and traces are anchor-blind shared shapes on the
-:class:`~repro.vm.binary.Binary` (extractors take the register file at
-call time, so nothing in a compiled observed run is CPU-specific),
-honoured per CPU through the same poison sets, and fed by the same
-shared edge profile.  The ring buffer is flushed only when it fills or
-the run ends — not per control transfer — because call/return
-transitions travel *in-band* as activation markers (``(None, target,
-esp)`` push, ``(None, None, 0)`` pop) appended by the transfer
-machinery, making digestion independent of flush boundaries.
+Learning mode is the same loop and the same compiler with a non-empty
+*observation set*.  Instead of building a dict-shaped observation per
+instruction, an observed instruction appends a compiled raw snapshot
+(:mod:`repro.vm.observe`) to a ring buffer — and only at the pcs its
+``lazy_operands`` subscribers actually trace, so observation cost is
+confined to traced procedures at the kernel level, not the front end.
+The run compiler takes the observed pcs of a stretch as its third input
+(next to the stretch and the elision premise) and emits an *extraction
+micro-op* ahead of each observed instruction's own micro-op, so the
+extraction fuses into the same superinstruction; a bare run is simply
+the run compiled with an empty observation set.  The shared tables are
+keyed by that compilation plan (elision premise, lazy subscribers,
+filter epoch); the loop's observation extras — buffer-flush checks,
+epoch polling, extraction on a patch redirect — are guarded by per-loop
+constants that are false for a bare run.  The ring buffer is flushed
+only when it fills or the run ends — not per control transfer — because
+call/return transitions travel *in-band* as activation markers
+(``(None, target, esp)`` push, ``(None, None, 0)`` pop) appended by the
+transfer machinery, making digestion independent of flush boundaries.
 
 Attack semantics: a control transfer whose target lies outside the code
 segment raises :class:`~repro.errors.CodeInjectionExecuted` *at the
@@ -75,8 +80,6 @@ gaining control; with Memory Firewall attached, the monitor's
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.errors import (
     CodeInjectionExecuted,
@@ -154,12 +157,6 @@ TRACE_MAX_BLOCKS = 12
 _INDIRECT_STABILITY = 0.75
 
 
-def _trace_tier_enabled() -> bool:
-    """The trace-tier kill switch, read per loop entry (not at import)
-    so forked community workers and in-process tests both honour it."""
-    return os.environ.get("REPRO_TRACE_TIER", "1") != "0"
-
-
 class CPU:
     """A MiniX86 machine instance: registers, memory, heap, hook bus."""
 
@@ -214,32 +211,23 @@ class CPU:
         self._lazy = bus.lazy_operands
         #: Superblock state: ``_compiled`` (entry pc -> pre-bound run)
         #: and ``_traces`` (entry pc -> trace run) alias the per-binary
-        #: shared tables — compiled entries are anchor-blind pure
-        #: shapes over the immutable image, shared by every CPU on it.
-        #: Anchors are honoured per CPU through the generation caches
-        #: below (see :meth:`_refresh_generation`), re-derived whenever
-        #: ``bus.anchor_version`` moves.  The observed variants are
-        #: shared the same way (``Binary._obs_run_cache`` /
-        #: ``_obs_trace_cache``); the per-CPU ``_compiled_obs`` /
-        #: ``_obs_traces`` dicts hold this CPU's *filtered*
-        #: instantiations (extractors dropped where its lazy
-        #: subscribers decline the pc), carrying the lazy-observation
-        #: epoch as a second validity dimension.
+        #: shared tables of the current compilation plan (bound lazily
+        #: by :meth:`_bind_plan`) — compiled entries are anchor-blind
+        #: pure shapes over the immutable image, shared by every CPU on
+        #: it.  Anchors are honoured per CPU through the generation
+        #: caches below (see :meth:`_refresh_generation`), re-derived
+        #: whenever ``bus.anchor_version`` moves.
+        self._plan: tuple | None = None
         self._elide_barriers = False
         self._compiled: dict[int, tuple] = {}
         self._traces: dict[int, tuple] = {}
-        self._bind_tables()
         self._compiled_version = bus.anchor_version
-        self._compiled_obs: dict[int, tuple] = {}
-        self._obs_traces: dict[int, tuple] = {}
         #: Per-CPU negative caches (pc known uncompilable / untraceable
         #: in the current anchor generation); unlike the positive
         #: tables these depend on this CPU's block registrations, so
         #: they are never shared and are dropped every generation.
         self._negative: set[int] = set()
         self._no_trace: set[int] = set()
-        self._obs_negative: set[int] = set()
-        self._no_obs_trace: set[int] = set()
         #: Per-CPU poison sets: run entries / trace heads from the
         #: shared tables that this CPU's anchors forbid entering this
         #: generation (an anchored pc lies inside their span).
@@ -251,8 +239,6 @@ class CPU:
             binary._trace_paths = {}
         if binary._edge_profile is None:
             binary._edge_profile = {}
-        if binary._obs_stats is None:
-            binary._obs_stats = {"hits": 0, "compiles": 0}
         self._shared_profile: dict[int, int] = binary._trace_profile
         self._shared_paths: dict = binary._trace_paths
         self._edge_profile: dict[int, dict] = binary._edge_profile
@@ -278,7 +264,7 @@ class CPU:
             self._flush_observations()
         self.bus.subscribe(hook)
         if hook.lazy_operands:
-            self._drop_obs_caches()
+            self._extractors.clear()
 
     def remove_hook(self, hook: ExecutionHook) -> None:
         """Detach *hook* from every event."""
@@ -287,16 +273,7 @@ class CPU:
             self._flush_observations()
         self.bus.unsubscribe(hook)
         if hook.lazy_operands:
-            self._drop_obs_caches()
-
-    def _drop_obs_caches(self) -> None:
-        """Forget this CPU's filtered observation state (the shared
-        tables on the binary are untouched — they are filter-blind)."""
-        self._extractors.clear()
-        self._compiled_obs.clear()
-        self._obs_traces.clear()
-        self._obs_negative.clear()
-        self._no_obs_trace.clear()
+            self._extractors.clear()
 
     # ------------------------------------------------------------------
     # Register / flag helpers
@@ -568,7 +545,7 @@ class CPU:
         if self._lazy:
             epoch = self._lazy_epoch()
             if epoch != self._obs_epoch:
-                self._drop_obs_caches()
+                self._extractors.clear()
                 self._obs_epoch = epoch
             extractor = self._extractor_for(pc, instruction)
             if extractor is not None:
@@ -601,11 +578,11 @@ class CPU:
     def run(self, max_steps: int | None = None) -> None:
         """Run until HALT (or an exception propagates).
 
-        Chooses between three loops per dispatch configuration: the full
+        Chooses between two loops per dispatch configuration: the full
         :meth:`step` loop whenever any hook subscribes to a granular
-        per-instruction event, :meth:`_run_observed` when only batched
-        operand observation is wanted, and :meth:`_run_unhooked`
-        otherwise.  The bus version gates all three, so subscribing or
+        per-instruction event, and the compiled-run loop
+        :meth:`_run_compiled` otherwise (with or without batched operand
+        observation).  The bus version gates both, so subscribing or
         unsubscribing mid-run (adaptive policies, staged learning)
         switches loops at the next instruction boundary.
         """
@@ -619,15 +596,13 @@ class CPU:
                     step = self.step
                     while not self.halted and bus.version == version:
                         step()
-                elif bus.lazy_operands:
-                    self._run_observed()
                 else:
-                    self._run_unhooked()
+                    self._run_compiled()
         finally:
             if self._obs_buffer:
                 self._flush_observations()
 
-    def _run_unhooked(self) -> None:
+    def _run_compiled(self) -> None:
         """Fast inner loop: no granular subscribers, anchors only.
 
         Returns when the machine halts, or when the bus version moves
@@ -659,21 +634,31 @@ class CPU:
         entry re-enters itself directly — provided the budget covers a
         whole further pass and no version moved — so hot loops cycle
         without touching this loop's bookkeeping at all.
+
+        Batched operand observation rides the same loop: compiled runs
+        carry their extraction micro-ops (see :meth:`_compile_run`), and
+        the per-instruction path and patch redirects append the
+        memoised extractor's record directly.  The ring buffer is
+        flushed when it fills (checked per dispatch and before a
+        loop-back) and by :meth:`run` on exit; procedure discovery that
+        moves the subscribers' filter epoch mid-run rebinds the tables
+        of the new plan.  Those extras hang off two per-loop constants,
+        ``observing`` and ``epoch_stable``, so a bare run skips each
+        with one local test.
         """
         bus = self.bus
         version = bus.version
         code_get = self._code.get
         before_pc_get = self._before_pc.get
         after_pc = self._after_pc
-        elide = not (bus.store or bus.alloc or bus.free)
-        if elide != self._elide_barriers:
-            # The elision premise changed (a store/heap subscriber
-            # attached or detached): swap to the tables compiled under
-            # the new premise.
-            self._elide_barriers = elide
-            self._trace_recording = None
-            self._bind_tables()
-            self._refresh_generation()
+        lazy = self._lazy
+        observing = bool(lazy)
+        # The subscriber set is pinned for the duration of this loop
+        # (bus.version exits it on any change), so when every lazy hook
+        # declares a constant filter epoch — vacuously so for a bare
+        # run — the epoch polling below is provably redundant.
+        epoch_stable = all(hook.observation_epoch_stable for hook in lazy)
+        epoch = self._bind_plan()
         compiled = self._compiled
         compiled_get = compiled.get
         traces_get = self._traces.get
@@ -681,7 +666,9 @@ class CPU:
         no_trace = self._no_trace
         poison_runs = self._poison_runs
         poison_traces = self._poison_traces
-        tracing = _trace_tier_enabled()
+        buffer = self._obs_buffer
+        regs = self.registers
+        memory = self.memory
         max_steps = self.max_steps
         steps = self.steps
         pc = self.pc
@@ -691,24 +678,41 @@ class CPU:
                     raise ExecutionLimitExceeded(
                         f"exceeded {max_steps} steps", pc=pc)
                 steps += 1
+                if observing and len(buffer) >= _OBS_FLUSH_LIMIT:
+                    self.steps = steps
+                    self.pc = pc
+                    self._flush_observations()
                 entry = code_get(pc)
                 if entry is None:
                     self.fetch(pc)  # raises the precise fault for this pc
                 handler, instruction = entry
                 anchored = before_pc_get(pc)
+                redirect = None
                 if anchored is not None:
                     self.steps = steps
                     self.pc = pc
-                    redirect = None
                     for hook in tuple(anchored):
                         result = hook.before_instruction(self, pc,
                                                          instruction)
                         if result is not None:
                             redirect = result
-                    if redirect is not None:
-                        pc = self._transfer(pc, TransferKind.PATCH,
-                                            redirect)
-                        continue
+                if not epoch_stable and self._lazy_epoch() != epoch:
+                    # Procedure discovery (riding the cache's probes and
+                    # transfers) changed which pcs are traced: switch to
+                    # the tables compiled under the new filter.
+                    epoch = self._bind_plan()
+                    compiled = self._compiled
+                    compiled_get = compiled.get
+                    traces_get = self._traces.get
+                if redirect is not None:
+                    if observing:
+                        # Mirror step(): the skipped instruction is
+                        # still observed in its pre-redirect state.
+                        extractor = self._extractor_for(pc, instruction)
+                        if extractor is not None:
+                            buffer.append(extractor(regs, memory))
+                    pc = self._transfer(pc, TransferKind.PATCH, redirect)
+                    continue
                 anchor_version = bus.anchor_version
                 if anchor_version != self._compiled_version:
                     # An anchor or block changed (patch install/remove,
@@ -719,21 +723,20 @@ class CPU:
                     self._refresh_generation()
                     self._trace_recording = None
                     self._compiled_version = anchor_version
-                run = traces_get(pc) if tracing else None
-                if run is None and tracing and pc not in no_trace:
+                run = traces_get(pc)
+                if run is None and pc not in no_trace:
                     run = self._adopt_trace(pc)
                 if run is not None and pc not in poison_traces:
                     is_trace = True
                 else:
                     is_trace = False
                     run = compiled_get(pc)
-                    if run is None:
-                        if pc not in negative:
-                            run = self._compile_run(pc)
-                            if run is None:
-                                negative.add(pc)
-                            else:
-                                compiled[pc] = run
+                    if run is None and pc not in negative:
+                        run = self._compile_run(pc)
+                        if run is None:
+                            negative.add(pc)
+                        else:
+                            compiled[pc] = run
                     if run is not None and pc in poison_runs:
                         run = None
                 if run is not None and bus.version == version and \
@@ -751,16 +754,20 @@ class CPU:
                                 done += seg_count
                                 if bus.version != version or \
                                         bus.anchor_version != \
-                                        anchor_version:
+                                        anchor_version or \
+                                        not (epoch_stable or
+                                             self._lazy_epoch() ==
+                                             epoch):
                                     break
                             else:
+                                # The last segment's check just passed,
+                                # so the versions and epoch still hold.
                                 if can_loop and pc == entry_pc and \
                                         not self.halted and \
-                                        bus.version == version and \
-                                        bus.anchor_version == \
-                                        anchor_version and \
                                         steps - 1 + done + run[1] \
-                                        <= max_steps:
+                                        <= max_steps and \
+                                        not (observing and len(buffer) >=
+                                             _OBS_FLUSH_LIMIT):
                                     continue  # cycle inside the run
                             break
                     except BaseException:
@@ -782,187 +789,13 @@ class CPU:
                     steps += done - 1
                     if is_trace:
                         self.trace_retired += done
-                    elif tracing and done == run[1]:
+                    elif done == run[1]:
                         self._profile_edge(entry_pc, pc)
                     continue
-                here = pc
-                pc = handler(self, here, instruction)
-                if after_pc:
-                    anchored = after_pc.get(here)
-                    if anchored is not None:
-                        self.steps = steps
-                        self.pc = pc
-                        for hook in tuple(anchored):
-                            hook.after_instruction(self, here, instruction)
-                        pc = self.pc  # an after-patch may have redirected
-        finally:
-            self.steps = steps
-            self.pc = pc
-
-    def _run_observed(self) -> None:
-        """Batched-observation loop: lazy operand subscribers only.
-
-        Structurally :meth:`_run_unhooked` plus snapshot extraction: per
-        traced instruction a compiled extractor appends one raw record
-        to the ring buffer, flushed when it fills (and by :meth:`run` on
-        exit) — activation markers appended by the transfer machinery
-        carry the call-shadow transitions in-band, so flush boundaries
-        are free to batch across any number of transfers.  Observed runs
-        and traces are shared anchor-blind shapes on the binary
-        (extractors take the register file at call time); this loop
-        executes this CPU's filtered instantiations of them, honours the
-        same poison sets as the bare loop, feeds the same edge profile,
-        and retires hot loops inside guard-chained observed traces with
-        direct loop-back re-entry.  Fusion is skipped here because
-        extraction is inherently per-instruction.
-        """
-        bus = self.bus
-        version = bus.version
-        code_get = self._code.get
-        before_pc_get = self._before_pc.get
-        after_pc = self._after_pc
-        compiled = self._compiled_obs
-        traces_get = self._obs_traces.get
-        obs_negative = self._obs_negative
-        no_obs_trace = self._no_obs_trace
-        poison_runs = self._poison_runs
-        poison_traces = self._poison_traces
-        tracing = _trace_tier_enabled()
-        buffer = self._obs_buffer
-        buffer_append = buffer.append
-        regs = self.registers
-        memory = self.memory
-        max_steps = self.max_steps
-        steps = self.steps
-        pc = self.pc
-        # The subscriber set is pinned for the duration of this loop
-        # (bus.version exits it on any change), so when every lazy hook
-        # declares a constant filter epoch the per-dispatch and
-        # per-segment polling below is provably redundant: validate the
-        # caches once here and skip the polls.
-        epoch_stable = all(hook.observation_epoch_stable
-                           for hook in self._lazy)
-        epoch = self._lazy_epoch()
-        if epoch != self._obs_epoch:
-            self._drop_obs_caches()
-            self._obs_epoch = epoch
-        try:
-            while not self.halted and bus.version == version:
-                if steps >= max_steps:
-                    raise ExecutionLimitExceeded(
-                        f"exceeded {max_steps} steps", pc=pc)
-                steps += 1
-                if len(buffer) >= _OBS_FLUSH_LIMIT:
-                    self.steps = steps
-                    self.pc = pc
-                    self._flush_observations()
-                entry = code_get(pc)
-                if entry is None:
-                    self.fetch(pc)  # raises the precise fault for this pc
-                handler, instruction = entry
-                anchored = before_pc_get(pc)
-                redirect = None
-                if anchored is not None:
-                    self.steps = steps
-                    self.pc = pc
-                    for hook in tuple(anchored):
-                        result = hook.before_instruction(self, pc,
-                                                         instruction)
-                        if result is not None:
-                            redirect = result
-                # Procedure discovery (riding the cache's probes and
-                # transfers) changes which pcs are traced; re-validate
-                # the memoised filter decisions each iteration (elided
-                # when every subscriber's epoch is constant).
-                if not epoch_stable:
-                    epoch = self._lazy_epoch()
-                    if epoch != self._obs_epoch:
-                        self._drop_obs_caches()
-                        self._obs_epoch = epoch
-                if redirect is not None:
-                    # Mirror step(): the skipped instruction is still
-                    # observed in its pre-redirect state.
+                if observing:
                     extractor = self._extractor_for(pc, instruction)
                     if extractor is not None:
-                        buffer_append(extractor(regs, memory))
-                    pc = self._transfer(pc, TransferKind.PATCH,
-                                        redirect)
-                    continue
-                anchor_version = bus.anchor_version
-                if anchor_version != self._compiled_version:
-                    self._refresh_generation()
-                    self._trace_recording = None
-                    self._compiled_version = anchor_version
-                run = traces_get(pc) if tracing else None
-                if run is None and tracing and pc not in no_obs_trace:
-                    run = self._adopt_obs_trace(pc)
-                if run is not None and pc not in poison_traces:
-                    is_trace = True
-                else:
-                    is_trace = False
-                    run = compiled.get(pc)
-                    if run is None and pc not in obs_negative:
-                        shared_run = self._obs_shared_run(pc)
-                        if shared_run is None:
-                            obs_negative.add(pc)
-                        else:
-                            run = self._obs_instantiate(shared_run)
-                            compiled[pc] = run
-                    if run is not None and pc in poison_runs:
-                        run = None
-                if run is not None and bus.version == version and \
-                        steps - 1 + run[1] <= max_steps:
-                    entry_pc = pc
-                    done = 0
-                    can_loop = anchored is None
-                    try:
-                        while True:
-                            for seg_ops, seg_count, guard in run[0]:
-                                if guard is not None and pc != guard:
-                                    break  # trace diverged at a boundary
-                                for extractor, op, ins_pc, ins in seg_ops:
-                                    if extractor is not None:
-                                        buffer_append(
-                                            extractor(regs, memory))
-                                    pc = op(self, ins_pc, ins)
-                                done += seg_count
-                                if bus.version != version or \
-                                        bus.anchor_version != \
-                                        anchor_version or \
-                                        not (epoch_stable or
-                                             self._lazy_epoch() ==
-                                             epoch):
-                                    break
-                            else:
-                                if can_loop and pc == entry_pc and \
-                                        not self.halted and \
-                                        bus.version == version and \
-                                        bus.anchor_version == \
-                                        anchor_version and \
-                                        (epoch_stable or
-                                         self._lazy_epoch() == epoch) \
-                                        and \
-                                        len(buffer) < _OBS_FLUSH_LIMIT \
-                                        and steps - 1 + done + run[1] \
-                                        <= max_steps:
-                                    continue  # cycle inside the run
-                            break
-                    except BaseException:
-                        # Observed runs never fuse, so ``ins_pc`` is the
-                        # faulting instruction; segments are contiguous
-                        # from their first op (``seg_ops[0][2]``).
-                        steps += done + \
-                            (ins_pc - seg_ops[0][2]) // INSTRUCTION_SIZE
-                        raise
-                    steps += done - 1
-                    if is_trace:
-                        self.trace_retired += done
-                    elif tracing and done == run[1]:
-                        self._profile_edge(entry_pc, pc)
-                    continue
-                extractor = self._extractor_for(pc, instruction)
-                if extractor is not None:
-                    buffer_append(extractor(regs, memory))
+                        buffer.append(extractor(regs, memory))
                 here = pc
                 pc = handler(self, here, instruction)
                 if after_pc:
@@ -1011,93 +844,46 @@ class CPU:
         return False
 
     def _compile_run(self, entry_pc: int) -> tuple | None:
-        """Compile ``(segments, instruction count)`` for the fast loop.
+        """Compile ``(segments, instruction count)`` for the run loop.
 
         Each segment is ``(ops, count, guard)`` with ``guard`` always
         None for a plain block run (trace segments carry their expected
-        entry pc there).  Runs bind only instruction constants (never
-        CPU state) and ignore anchors, so the compiled form is shared
-        per binary via ``Binary._run_cache``, keyed by ``(entry pc,
-        length, elision)`` — over an immutable image that triple fully
-        determines the instruction stretch, its barrier segmentation,
-        and its fusion.  Compilation registers the run's span in the
+        entry pc there).  A run is a pure function of three inputs: the
+        instruction stretch from *entry_pc* to its block end, the
+        barrier-elision premise, and the stretch's observed pcs (those
+        the lazy subscribers' filter admits — none on a bare CPU).  It
+        binds only instruction constants (never CPU state) and ignores
+        anchors, so it is shared per binary via ``Binary._run_cache``,
+        keyed by ``(entry pc, length, elision, observed pcs)``: a bare
+        CPU and one whose subscribers observe nothing there execute the
+        very same run.  Compilation registers the run's span in the
         poison index and, when one of this CPU's *current* anchors
         already lands inside it, poisons it locally right away.
         """
         take = self._take_run(entry_pc)
         if take is None:
             return None
-        shared = self.binary._run_cache
+        extractors = {}
+        if self._lazy:
+            for ins_pc, instruction in take:
+                extractor = self._extractor_for(ins_pc, instruction)
+                if extractor is not None:
+                    extractors[ins_pc] = extractor
+        binary = self.binary
+        shared = binary._run_cache
         if shared is None:
-            shared = self.binary._run_cache = {}
+            shared = binary._run_cache = {}
         elide = self._elide_barriers
-        key = (entry_pc, len(take), elide)
+        key = (entry_pc, len(take), elide, tuple(extractors))
         run = shared.get(key)
         if run is None:
             barriers = frozenset() if elide else _SEGMENT_BARRIERS
             makers = _MICRO_MAKERS_ELIDED if elide else _MICRO_MAKERS
             segments = tuple(
-                (_compile_ops(segment, makers), len(segment), None)
+                (_compile_ops(segment, makers, extractors), len(segment),
+                 None)
                 for segment in _split_segments(take, barriers))
             run = (segments, len(take))
-            shared[key] = run
-            spans = self.binary._run_spans
-            if spans is None:
-                spans = self.binary._run_spans = {}
-            for ins_pc, _ in take:
-                owners = spans.get(ins_pc)
-                if owners is None:
-                    spans[ins_pc] = {entry_pc}
-                else:
-                    owners.add(entry_pc)
-        end = entry_pc + run[1] * INSTRUCTION_SIZE
-        if (self._before_pc or self._after_pc) and \
-                self._span_anchored(entry_pc, end):
-            self._poison_runs.add(entry_pc)
-        return run
-
-    def _obs_shared_run(self, entry_pc: int) -> tuple | None:
-        """The shared observed run at *entry_pc*.
-
-        Observed runs are the anchor-blind twin of :meth:`_compile_run`
-        with one extra element per op: the shared extractor compiled for
-        that pc (extractors bind only instruction constants, so the
-        whole run shape is a pure function of the immutable image and is
-        shared per binary via ``Binary._obs_run_cache``).  Barriers are
-        never elided and ops never fuse — extraction is inherently
-        per-instruction.  Like bare runs, compilation registers the span
-        in the poison index (the same one: poisoning covers both loops)
-        and poisons locally right away when one of this CPU's current
-        anchors lands inside.
-        """
-        take = self._take_run(entry_pc)
-        if take is None:
-            return None
-        binary = self.binary
-        shared = binary._obs_run_cache
-        if shared is None:
-            shared = binary._obs_run_cache = {}
-        stats = binary._obs_stats
-        key = (entry_pc, len(take))
-        run = shared.get(key)
-        if run is None:
-            stats["compiles"] += 1
-            extractors = binary._extractor_cache
-            if extractors is None:
-                extractors = binary._extractor_cache = {}
-            segments = []
-            for segment in _split_segments(take, _SEGMENT_BARRIERS):
-                ops = []
-                for ins_pc, instruction in segment:
-                    extractor = extractors.get(ins_pc)
-                    if extractor is None:
-                        extractor = extractors[ins_pc] = \
-                            build_extractor(ins_pc, instruction)
-                    ops.append((extractor,
-                                _DISPATCH[instruction.opcode],
-                                ins_pc, instruction))
-                segments.append((tuple(ops), len(segment), None))
-            run = (tuple(segments), len(take))
             shared[key] = run
             spans = binary._run_spans
             if spans is None:
@@ -1108,90 +894,46 @@ class CPU:
                     spans[ins_pc] = {entry_pc}
                 else:
                     owners.add(entry_pc)
-        else:
-            stats["hits"] += 1
         end = entry_pc + run[1] * INSTRUCTION_SIZE
         if (self._before_pc or self._after_pc) and \
                 self._span_anchored(entry_pc, end):
             self._poison_runs.add(entry_pc)
         return run
 
-    def _obs_instantiate(self, shared_run: tuple) -> tuple:
-        """This CPU's view of a shared observed run: extractors for pcs
-        the current subscribers filter out are dropped.  The filtered
-        instance is itself cached on the binary, keyed by the shared
-        shape's identity (pinned forever by the shared caches), the
-        subscriber tuple, and their filter epoch — so the per-op filter
-        walk happens once per binary, and every freshly launched CPU
-        with the same subscribers inherits the instance for the cost of
-        one dict probe."""
-        binary = self.binary
-        cache = binary._obs_instance_cache
-        if cache is None:
-            cache = binary._obs_instance_cache = {}
-        key = (id(shared_run), tuple(self.bus.lazy_operands),
-               self._lazy_epoch())
-        instance = cache.get(key)
-        if instance is None:
-            instance = self._obs_filter(shared_run)
-            cache[key] = instance
-        return instance
-
-    def _obs_filter(self, shared_run: tuple) -> tuple:
-        """Apply the current subscribers' pc filter to *shared_run*.
-        In the common observe-everything case the shared shape is
-        returned unchanged (no copy); partial filters rebuild only the
-        segments they touch."""
-        lazy = self.bus.lazy_operands
-        segments = None
-        for index, (seg_ops, seg_count, guard) in \
-                enumerate(shared_run[0]):
-            ops = None
-            for position, bound in enumerate(seg_ops):
-                if any(hook.observes(bound[2]) for hook in lazy):
-                    continue
-                if ops is None:
-                    ops = list(seg_ops)
-                ops[position] = (None,) + bound[1:]
-            if ops is not None:
-                if segments is None:
-                    segments = list(shared_run[0])
-                segments[index] = (tuple(ops), seg_count, guard)
-        if segments is None:
-            return shared_run
-        return (tuple(segments), shared_run[1])
-
-    def _obs_member(self, entry: int) -> tuple | None:
-        """The shared observed run at *entry* when it covers its whole
-        registered block (the coverage an observed trace needs to chain
-        through it); None otherwise."""
-        located = self.bus.blocks.get(entry)
-        if located is None:
-            return None
-        run = self._obs_shared_run(entry)
-        if run is None:
-            return None
-        items, index = located
-        if run[1] != len(items) - index:
-            return None
-        return run
-
-    def _bind_tables(self) -> None:
+    def _bind_plan(self):
         """Alias ``_compiled``/``_traces`` to the shared tables of the
-        current barrier-elision premise.
+        current compilation plan and return the lazy filter epoch.
 
-        A compiled run is a pure function of the immutable image and
-        the elision premise — it is anchor-*blind* — so two shared
-        tables per binary cover every CPU ever launched on it: a fresh
-        per-request instance inherits every run and trace an earlier
-        instance compiled.  Each CPU honours its own anchors separately
-        through the poison sets :meth:`_refresh_generation` derives.
+        A compiled run is a pure function of the immutable image, the
+        barrier-elision premise and which of its pcs are observed — it
+        is anchor-*blind* — so the tables live on the binary, keyed by
+        what fixes the last two: the elision premise and the lazy
+        subscribers (a bare CPU has none).  Subscriber tables are valid
+        for one filter epoch; a new epoch replaces them.  A fresh
+        per-request instance thus inherits every run and trace an
+        earlier instance compiled under the same plan, and honours its
+        own anchors separately through the poison sets
+        :meth:`_refresh_generation` derives.
         """
-        tables = self.binary._shared_tables
-        if tables is None:
-            tables = self.binary._shared_tables = {
-                False: ({}, {}), True: ({}, {})}
-        self._compiled, self._traces = tables[self._elide_barriers]
+        bus = self.bus
+        lazy = tuple(self._lazy)
+        epoch = self._lazy_epoch() if lazy else None
+        plan = (not (bus.store or bus.alloc or bus.free), lazy, epoch)
+        if plan != self._plan:
+            self._plan = plan
+            self._extractors.clear()
+            self._obs_epoch = epoch
+            self._elide_barriers = plan[0]
+            self._trace_recording = None
+            tables = self.binary._shared_tables
+            if tables is None:
+                tables = self.binary._shared_tables = {}
+            bound = tables.get(plan[:2])
+            if bound is None or bound[0] != epoch:
+                bound = tables[plan[:2]] = (epoch, {}, {})
+            _, self._compiled, self._traces = bound
+            self._refresh_generation()
+        return epoch
 
     def _refresh_generation(self) -> None:
         """Recompute the per-CPU view of the shared tables after an
@@ -1207,17 +949,9 @@ class CPU:
         events fire.  A before-anchor at a run's own entry needs no
         poison (the outer loop dispatches it before entering the run);
         every other anchored pc inside a span does.
-
-        Observed-loop instantiations are anchor-blind exactly like the
-        bare tables (anchors act through the same poison sets), so
-        positive entries *persist* across generations; only the
-        negative verdicts — which the registration growth that bumped
-        the generation may have overtaken — are dropped and re-derived.
         """
         self._negative.clear()
         self._no_trace.clear()
-        self._obs_negative.clear()
-        self._no_obs_trace.clear()
         poison_runs = self._poison_runs
         poison_traces = self._poison_traces
         poison_runs.clear()
@@ -1270,21 +1004,19 @@ class CPU:
     def _profile_edge(self, entry_pc: int, next_pc: int) -> None:
         """Account one completed block run; drive trace recording.
 
-        Called from the fast loop and the observed loop whenever a
-        plain run retires whole.  Heat accumulates in the per-binary
-        profile, and every retirement feeds the per-binary successor
-        histogram; once a head crosses :data:`TRACE_THRESHOLD` the
-        chain of runs executed next is recorded and published as that
-        head's trace path (``False`` when recording refused, which also
-        stops profiling the head).  Recording only starts and extends
-        along *hottest* successors (:meth:`_extend_worthy`) — a trace
-        captures the dominant path through a branchy region, not
-        whichever path happened to run at the threshold crossing — and
-        chaining across an indirect transfer additionally demands a
-        stable (monomorphic-majority) observed target.  Paths are
-        shared by both tiers: the bare loop instantiates them through
-        :meth:`_build_trace`, the observed loop through
-        :meth:`_build_obs_trace`.
+        Called from the run loop whenever a plain run retires whole.
+        Heat accumulates in the per-binary profile, and every retirement
+        feeds the per-binary successor histogram; once a head crosses
+        :data:`TRACE_THRESHOLD` the chain of runs executed next is
+        recorded and published as that head's trace path (``False``
+        when recording refused, which also stops profiling the head).
+        Recording only starts and extends along *hottest* successors
+        (:meth:`_extend_worthy`) — a trace captures the dominant path
+        through a branchy region, not whichever path happened to run at
+        the threshold crossing — and chaining across an indirect
+        transfer additionally demands a stable (monomorphic-majority)
+        observed target.  Paths are plan-independent: every compilation
+        plan instantiates them through :meth:`_build_trace`.
         """
         edges = self._edge_profile.get(entry_pc)
         if edges is None:
@@ -1310,7 +1042,6 @@ class CPU:
                 self._trace_recording = None
                 paths[head] = tuple(chain)
                 self._no_trace.discard(head)
-                self._no_obs_trace.discard(head)
                 return
             else:
                 chain.append(next_pc)
@@ -1330,7 +1061,6 @@ class CPU:
                 self._trace_member(next_pc):
             self._trace_recording = (entry_pc, [entry_pc, next_pc])
             self._no_trace.discard(entry_pc)
-            self._no_obs_trace.discard(entry_pc)
 
     def _extend_worthy(self, from_pc: int, next_pc: int) -> bool:
         """May a trace follow the edge ``from_pc -> next_pc``?
@@ -1375,95 +1105,39 @@ class CPU:
         Every member after the head contributes its first segment with
         a guard equal to its entry pc — the preceding transfer handler
         already computed the real target, so following the trace costs
-        one comparison per boundary.  The built trace registers its
-        member spans in the poison index and is poisoned locally right
-        away if one of this CPU's current anchors lands inside it.
+        one comparison per boundary.  A trace is a pure function of its
+        member runs, so it is shared per binary via
+        ``Binary._trace_cache``, keyed by the members' identities (runs
+        are never evicted from the run cache, so an identity is never
+        reused); building one registers its member spans in the poison
+        index.  The trace is poisoned locally right away if one of this
+        CPU's current anchors lands inside it.
         """
-        head = path[0]
-        segments: list = []
-        bounds: list[tuple[int, int]] = []
-        total = 0
-        for position, entry in enumerate(path):
+        members = []
+        for entry in path:
             if not self._trace_member(entry):
                 return None
-            seg_list, count = self._compiled[entry]
-            if position:
+            members.append(self._compiled[entry])
+        bounds = [(entry, entry + run[1] * INSTRUCTION_SIZE)
+                  for entry, run in zip(path, members)]
+        head = path[0]
+        binary = self.binary
+        shared = binary._trace_cache
+        if shared is None:
+            shared = binary._trace_cache = {}
+        key = tuple(map(id, members))
+        trace = shared.get(key)
+        if trace is None:
+            segments: list = list(members[0][0])
+            for entry, (seg_list, _) in zip(path[1:], members[1:]):
                 first = seg_list[0]
                 segments.append((first[0], first[1], entry))
                 segments.extend(seg_list[1:])
-            else:
-                segments.extend(seg_list)
-            bounds.append((entry, entry + count * INSTRUCTION_SIZE))
-            total += count
-        spans = self.binary._trace_spans
-        if spans is None:
-            spans = self.binary._trace_spans = {}
-        for entry, end in bounds:
-            for ins_pc in range(entry, end, INSTRUCTION_SIZE):
-                owners = spans.get(ins_pc)
-                if owners is None:
-                    spans[ins_pc] = {head}
-                else:
-                    owners.add(head)
-        if self._before_pc or self._after_pc:
-            for position, (entry, end) in enumerate(bounds):
-                if self._span_anchored(entry, end) or \
-                        (position and entry in self._before_pc):
-                    self._poison_traces.add(head)
-                    break
-        return (tuple(segments), total)
-
-    def _adopt_obs_trace(self, pc: int) -> tuple | None:
-        """Instantiate the shared trace path at *pc* for the observed
-        loop; negative-caches None when absent or invalid."""
-        path = self._shared_paths.get(pc)
-        trace = self._build_obs_trace(path) if path else None
-        if trace is None:
-            self._no_obs_trace.add(pc)
-        else:
-            self._obs_traces[pc] = trace
-        return trace
-
-    def _build_obs_trace(self, path: tuple) -> tuple | None:
-        """Observed twin of :meth:`_build_trace`.
-
-        Stitches the *observed* member runs of *path* into one guarded
-        trace whose ops carry extractors.  The stitched shape and its
-        member bounds are shared per binary (``Binary._obs_trace_cache``
-        keyed by head) — like observed runs they are anchor-blind pure
-        shapes — then instantiated against this CPU's subscriber
-        filters and poison-checked against its current anchors.
-        Membership failures are *not* shared: they depend on this
-        bus's block registrations, so only the per-CPU negative cache
-        records them (cleared each generation).
-        """
-        head = path[0]
-        shared = self.binary._obs_trace_cache
-        if shared is None:
-            shared = self.binary._obs_trace_cache = {}
-        cached = shared.get(head)
-        if cached is None:
-            segments: list = []
-            bounds: list[tuple[int, int]] = []
-            total = 0
-            for position, entry in enumerate(path):
-                run = self._obs_member(entry)
-                if run is None:
-                    return None
-                seg_list, count = run
-                if position:
-                    first = seg_list[0]
-                    segments.append((first[0], first[1], entry))
-                    segments.extend(seg_list[1:])
-                else:
-                    segments.extend(seg_list)
-                bounds.append((entry, entry + count * INSTRUCTION_SIZE))
-                total += count
-            cached = ((tuple(segments), total), tuple(bounds))
-            shared[head] = cached
-            spans = self.binary._trace_spans
+            trace = (tuple(segments), sum(run[1] for run in members))
+            shared[key] = trace
+            spans = binary._trace_spans
             if spans is None:
-                spans = self.binary._trace_spans = {}
+                spans = binary._trace_spans = {}
             for entry, end in bounds:
                 for ins_pc in range(entry, end, INSTRUCTION_SIZE):
                     owners = spans.get(ins_pc)
@@ -1471,14 +1145,13 @@ class CPU:
                         spans[ins_pc] = {head}
                     else:
                         owners.add(head)
-        run, member_bounds = cached
         if self._before_pc or self._after_pc:
-            for position, (entry, end) in enumerate(member_bounds):
+            for position, (entry, end) in enumerate(bounds):
                 if self._span_anchored(entry, end) or \
                         (position and entry in self._before_pc):
                     self._poison_traces.add(head)
                     break
-        return self._obs_instantiate(run)
+        return trace
 
     # ------------------------------------------------------------------
     # Lazy operand observation plumbing
@@ -2387,10 +2060,18 @@ def _micro_for(ins_pc: int, instruction: Instruction, makers: dict):
     return micro
 
 
-def _fuse(micros: tuple):
-    """Pack consecutive non-raising micro-ops into one handler."""
-    advance = len(micros) * INSTRUCTION_SIZE
+def _micro_extract(extractor):
+    """Extraction micro-op: buffer one observed instruction's pre-state
+    snapshot.  Extractors never raise, so it fuses into any stretch,
+    placed just ahead of its instruction's own micro-op or handler."""
+    def micro(cpu, regs):
+        cpu._obs_buffer.append(extractor(regs, cpu.memory))
+    return micro
 
+
+def _fuse(micros: tuple, advance: int):
+    """Pack consecutive non-raising micro-ops into one handler that
+    advances the pc by *advance* bytes."""
     def superinstruction(cpu, pc, _ins):
         regs = cpu.registers
         for micro in micros:
@@ -2399,12 +2080,11 @@ def _fuse(micros: tuple):
     return superinstruction
 
 
-def _fuse_guarded(micros: tuple):
+def _fuse_guarded(micros: tuple, advance: int, offsets: tuple):
     """Guarded flavour for stretches whose micro-ops may fault: count
-    retired micro-ops and pin the faulting pc on the CPU so the run
+    retired micro-ops and pin the faulting pc (the stretch start plus
+    the faulting micro-op's entry in *offsets*) on the CPU so the run
     executor's accounting stays exact."""
-    advance = len(micros) * INSTRUCTION_SIZE
-
     def superinstruction(cpu, pc, _ins):
         regs = cpu.registers
         index = 0
@@ -2413,7 +2093,7 @@ def _fuse_guarded(micros: tuple):
                 micro(cpu, regs)
                 index += 1
         except BaseException:
-            cpu._fault_pc = pc + index * INSTRUCTION_SIZE
+            cpu._fault_pc = pc + offsets[index]
             raise
         return pc + advance
     return superinstruction
@@ -2436,32 +2116,48 @@ def _split_segments(items: list, barriers: frozenset) -> list[list]:
     return segments
 
 
-def _compile_ops(segment: list, makers: dict) -> tuple:
+def _compile_ops(segment: list, makers: dict, extractors: dict) -> tuple:
     """Pre-bind one segment into ``(handler, pc, instruction)`` triples,
     fusing maximal stretches of two or more micro-ops.  A stretch with
     any raising micro-op compiles into the guarded superinstruction
-    flavour; pure ALU/MOV stretches keep the unguarded fast one."""
+    flavour; pure ALU/MOV stretches keep the unguarded fast one.
+
+    *extractors* maps the segment's observed pcs to their extractors
+    (empty for a bare run).  Each observed instruction is preceded by
+    an extraction micro-op, which joins the open stretch — so an
+    observed instruction's record is buffered before the instruction
+    can fault, and observed ALU/memory stretches fuse exactly like bare
+    ones.  An observed unfusable instruction (a transfer, a barrier
+    store) gets its extraction as the tail of the stretch before it."""
     ops: list = []
-    fusable: list = []
+    # (instruction pc, instruction or None for an extraction, micro-op)
+    stretch: list = []
 
     def close_stretch():
-        if len(fusable) >= 2:
-            micros = tuple(micro for _, _, micro in fusable)
-            if any(ins.opcode in _RAISING_MICROS
-                   for _, ins, _ in fusable):
-                handler = _fuse_guarded(micros)
+        if len(stretch) == 1 and stretch[0][1] is not None:
+            ins_pc, ins, _ = stretch[0]
+            ops.append((_DISPATCH[ins.opcode], ins_pc, ins))
+        elif stretch:
+            start = stretch[0][0]
+            micros = tuple(micro for _, _, micro in stretch)
+            advance = INSTRUCTION_SIZE * sum(
+                ins is not None for _, ins, _ in stretch)
+            if any(ins is not None and ins.opcode in _RAISING_MICROS
+                   for _, ins, _ in stretch):
+                offsets = tuple(ins_pc - start for ins_pc, _, _ in stretch)
+                handler = _fuse_guarded(micros, advance, offsets)
             else:
-                handler = _fuse(micros)
-            ops.append((handler, fusable[0][0], None))
-        else:
-            for ins_pc, ins, _ in fusable:
-                ops.append((_DISPATCH[ins.opcode], ins_pc, ins))
-        del fusable[:]
+                handler = _fuse(micros, advance)
+            ops.append((handler, start, None))
+        del stretch[:]
 
     for ins_pc, ins in segment:
+        extractor = extractors.get(ins_pc)
+        if extractor is not None:
+            stretch.append((ins_pc, None, _micro_extract(extractor)))
         micro = _micro_for(ins_pc, ins, makers)
         if micro is not None:
-            fusable.append((ins_pc, ins, micro))
+            stretch.append((ins_pc, ins, micro))
         else:
             close_stretch()
             ops.append((_DISPATCH[ins.opcode], ins_pc, ins))

@@ -150,11 +150,12 @@ class ExecutionHook:
     #: Set True when :meth:`observation_epoch` is a *constant* for this
     #: hook's whole lifetime (e.g. a front end tracing every procedure:
     #: its filter is the identity no matter what discovery learns).
-    #: The observed-run kernel polls the epoch on every dispatch and
-    #: every trace segment to catch filter changes mid-run; when every
-    #: lazy subscriber declares stability it elides that polling
-    #: entirely.  Leave False when in doubt — it is purely an
-    #: optimisation hint and False is always correct.
+    #: While lazy subscribers are attached, the CPU's compiled-run loop
+    #: polls the epoch on every dispatch and every run segment to catch
+    #: filter changes mid-run; when every lazy subscriber declares
+    #: stability it elides that polling entirely, exactly as on a bare
+    #: run.  Leave False when in doubt — it is purely an optimisation
+    #: hint and False is always correct.
     observation_epoch_stable = False
 
     def on_operand_batch(self, cpu: "CPU", records: list[tuple]) -> None:

@@ -4,17 +4,21 @@ The contract: the batched kernel-level path — compiled extractors, ring
 buffer, per-pc engine digest plans — must produce an invariant database
 *equal* to the per-instruction callback path: same invariants, same
 sample counts.  These tests pin that equality on the real WebBrowse
-workload (full and partial tracing), pin extractor records against
-``CPU.observe_operands`` across the opcode space, and cover the mixed
-case where a granular hook forces the step loop while a batched front
-end rides along.
+workload (full and partial tracing), pin compiled learning against
+learning forced through ``CPU.step()`` on both apps, pin extractor
+records against ``CPU.observe_operands`` across the opcode space, and
+cover the mixed case where a granular hook forces the step loop while a
+batched front end rides along.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.apps import evaluation_pages
+import pytest
+
+from repro.apps import build_browser, evaluation_pages, learning_pages
+from repro.apps.mailserver import build_mailserver, normal_messages
 from repro.cfg.discovery import (
     DiscoveryPlugin,
     ProcedureDatabase,
@@ -39,6 +43,13 @@ def _canonical(database):
     invariants = sorted(json.dumps(item, sort_keys=True)
                         for item in payload["invariants"])
     return invariants, payload["samples"]
+
+
+class _NoOpBefore(ExecutionHook):
+    """Forces the full step loop without changing any behaviour."""
+
+    def before_instruction(self, cpu, pc, instruction):
+        return None
 
 
 class TestDatabaseEquality:
@@ -66,25 +77,9 @@ class TestDatabaseEquality:
         assert fast.observations == slow.observations
         assert _canonical(fast.database) == _canonical(slow.database)
 
-    def test_trace_tier_differential_on_webbrowse(self, browser,
-                                                  monkeypatch):
-        """Learning with the observed trace tier enabled must produce a
-        bit-equal invariant database to the tier disabled (the tier is
-        an execution strategy, not a semantic change)."""
-        pages = evaluation_pages()[:8]
-        hot = learn(browser, pages, batched=True)
-        monkeypatch.setenv("REPRO_TRACE_TIER", "0")
-        cold = learn(browser, pages, batched=True)
-        assert hot.observations == cold.observations
-        assert _canonical(hot.database) == _canonical(cold.database)
-
     def test_step_loop_feeds_batched_front_end(self, browser):
         """A granular hook forces the full step loop; the batched front
         end must still observe everything, identically."""
-
-        class NoOpBefore(ExecutionHook):
-            def before_instruction(self, cpu, pc, instruction):
-                return None
 
         def run_learning(extra_hook):
             stripped = browser.stripped()
@@ -102,9 +97,55 @@ class TestDatabaseEquality:
                 assert result.succeeded
             return engine.finalize()
 
-        observed = run_learning(NoOpBefore())
+        observed = run_learning(_NoOpBefore())
         reference = run_learning(None)
         assert _canonical(observed) == _canonical(reference)
+
+
+LEARNING_APPS = {
+    "browser": (build_browser, learning_pages),
+    "mailserver": (build_mailserver, normal_messages),
+}
+
+
+def _learn_through_step_loop(monkeypatch, binary, payloads, **kwargs):
+    """``learn()`` with every launched CPU forced onto ``step()``."""
+    launch = ManagedEnvironment.launch
+
+    def stepping_launch(self, payload=b""):
+        cpu = launch(self, payload)
+        cpu.add_hook(_NoOpBefore())
+        return cpu
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ManagedEnvironment, "launch", stepping_launch)
+        return learn(binary, payloads, **kwargs)
+
+
+class TestCompiledLearningEqualsStepLoop:
+    """``CPU.step()`` is the operational reference: learning through
+    the compiled runs and traces (extraction fused into the runs) must
+    digest exactly the records the step loop extracts."""
+
+    @pytest.mark.parametrize("mode", ["full", "partial", "prune"])
+    @pytest.mark.parametrize("app", sorted(LEARNING_APPS))
+    def test_compiled_learning_equals_step_loop(self, app, mode,
+                                                monkeypatch):
+        build, workload = LEARNING_APPS[app]
+        binary = build().stripped()
+        options = {}
+        if mode == "partial":
+            entries = discover_all_reachable(binary).entries()
+            options["traced_procedures"] = set(entries[::2])
+        elif mode == "prune":
+            options["prune"] = True
+        compiled = learn(binary, workload(), **options)
+        stepped = _learn_through_step_loop(monkeypatch, binary,
+                                           workload(), **options)
+        assert compiled.observations > 0
+        assert compiled.observations == stepped.observations
+        assert _canonical(compiled.database) == \
+            _canonical(stepped.database)
 
 
 OPCODE_PROGRAM = """

@@ -123,21 +123,6 @@ class TestDifferentialEquivalence:
             sharded.per_node_observations
         assert in_process.upload_bytes == sharded.upload_bytes
 
-    @pytest.mark.parametrize("transport", REAL_TRANSPORTS)
-    def test_trace_tier_differential(self, make_manager, monkeypatch,
-                                     transport):
-        """Learning with the observed trace tier disabled is bit-equal
-        to the tier enabled, on every transport: the tier is an
-        execution strategy, never a semantic change.  (The knob is an
-        environment variable so it reaches the forked workers too.)"""
-        hot = run_learning(make_manager(members=4, transport=transport))
-        monkeypatch.setenv("REPRO_TRACE_TIER", "0")
-        cold = run_learning(make_manager(members=4,
-                                         transport=transport))
-        assert database_fingerprint(hot.database) == \
-            database_fingerprint(cold.database)
-        assert hot.per_node_observations == cold.per_node_observations
-
     def test_learning_strategies_bit_equal(self, make_manager):
         for strategy in ("random", "overlapping"):
             in_process = run_learning(make_manager(members=3),

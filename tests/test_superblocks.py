@@ -479,6 +479,22 @@ loop:
 """
 
 
+class _LazyCollector(ExecutionHook):
+    """Batched operand subscriber recording every delivered record."""
+
+    lazy_operands = True
+
+    def __init__(self, observes=True):
+        self.records = []
+        self._observes = observes
+
+    def observes(self, pc):
+        return self._observes
+
+    def on_operand_batch(self, cpu, records):
+        self.records.extend(records)
+
+
 class TestFusedFaultPrecision:
     """Memory/stack/DIV micro-ops fuse into guarded closures; a fault
     inside one must surface with the exact pc, step count, and message
@@ -504,3 +520,63 @@ class TestFusedFaultPrecision:
         assert fast_kind is not None, "program should fault"
         assert (fast_kind, fast_detail) == (slow_kind, slow_detail)
         assert _machine_state(fast) == _machine_state(slow)
+
+    @pytest.mark.parametrize("program", [FAULTING_STORE_PROGRAM,
+                                         FAULTING_DIV_PROGRAM])
+    def test_fault_inside_observed_stretch_is_exact(self, program):
+        """With a lazy collector attached the guarded stretches carry
+        extraction micro-ops: the fault still surfaces exactly as in the
+        step loop, and the collector receives the same records — the
+        faulting instruction's own record included."""
+        def run(slow: bool):
+            binary = assemble(program)
+            cpu = CPU(binary)
+            cpu.add_hook(CodeCache(binary))
+            collector = _LazyCollector()
+            cpu.add_hook(collector)
+            if slow:
+                cpu.add_hook(_NoOpBefore())
+            try:
+                cpu.run()
+            except Exception as error:  # noqa: BLE001 - compared below
+                return cpu, type(error).__name__, str(error), \
+                    collector.records
+            return cpu, None, "", collector.records
+
+        fast, fast_kind, fast_detail, fast_records = run(slow=False)
+        slow, slow_kind, slow_detail, slow_records = run(slow=True)
+        assert fast_kind is not None, "program should fault"
+        assert fast._compiled, "the fast run never compiled a run"
+        assert (fast_kind, fast_detail) == (slow_kind, slow_detail)
+        assert _machine_state(fast) == _machine_state(slow)
+        assert fast_records == slow_records
+        assert fast_records[-1][0] == fast.pc  # the faulting record
+
+
+class TestBareIsEmptyObservation:
+    def test_unobserving_lazy_hook_runs_the_bare_objects(self):
+        """Bare execution is observed execution with an empty
+        observation set: under a lazy hook that observes no pc, the CPU
+        executes the very same shared run and trace objects as a bare
+        CPU on the same binary."""
+        binary = assemble(TRACE_PROGRAM)
+        bare = CPU(binary)
+        bare.add_hook(CodeCache(binary))
+        bare.run()
+        observed = CPU(binary)
+        observed.add_hook(CodeCache(binary))
+        collector = _LazyCollector(observes=False)
+        observed.add_hook(collector)
+        observed.run()
+        assert _machine_state(observed) == _machine_state(bare)
+        # Separate plans (different tables), identical compiled objects.
+        assert observed._compiled is not bare._compiled
+        assert observed._compiled and observed._traces
+        assert observed.trace_retired > 0
+        for entry, run in observed._compiled.items():
+            assert run is bare._compiled[entry], hex(entry)
+        for head, trace in observed._traces.items():
+            assert trace is bare._traces[head], hex(head)
+        # Only the in-band activation markers reach the hook.
+        assert collector.records
+        assert all(record[0] is None for record in collector.records)
