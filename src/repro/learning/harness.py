@@ -52,22 +52,18 @@ def learn(binary: Binary, payloads: list[bytes],
           pair_scope: str = "block",
           deduplicate: bool = True,
           traced_procedures: set[int] | None = None,
-          batched: bool = True,
           prune: bool = False) -> LearningResult:
     """Learn a model of *binary*'s normal behaviour from *payloads*.
 
     Each payload is one "normal execution" (e.g. one web page load).
     Runs that do not complete normally are counted in ``excluded_runs``.
-    ``batched`` selects the kernel-level batched observation path (the
-    default) or the per-instruction callback path; both produce the same
-    database.  ``prune`` enables static observation pruning (full-trace
-    batched learning only — the injected pair statistics assume block
-    pair scope and a whole-binary trace).
+    ``prune`` enables static observation pruning (full-trace learning
+    only — the injected pair statistics assume block pair scope and a
+    whole-binary trace).
     """
-    if prune and (pair_scope != "block" or not batched
-                  or traced_procedures is not None):
+    if prune and (pair_scope != "block" or traced_procedures is not None):
         raise ValueError(
-            "prune=True requires pair_scope='block', batched=True and "
+            "prune=True requires pair_scope='block' and "
             "full tracing (traced_procedures=None)")
     stripped = binary.stripped()
 
@@ -84,7 +80,6 @@ def learn(binary: Binary, payloads: list[bytes],
     environment.cache_plugins.append(DiscoveryPlugin(procedures))
     front_end = TraceFrontEnd(
         engine, procedures, traced_procedures=traced_procedures,
-        batched=batched,
         pruned_pcs=plan.pruned_pcs if plan is not None else frozenset())
     environment.extra_hooks.append(front_end)
 

@@ -13,34 +13,26 @@ trace front end) and incrementally maintains candidate invariants:
 - a value-sequence fingerprint implements the §2.2.4 equal-variable
   suppression (reported to cut invariant counts by 2x).
 
-The engine has two intake paths with identical semantics:
-
-- :meth:`InferenceEngine.observe` digests one dict-shaped
-  :class:`~repro.vm.hooks.OperandObservation` — the original
-  per-instruction callback path;
-- :meth:`InferenceEngine.observe_record` digests one flat raw snapshot
-  (:mod:`repro.vm.observe` record) through a per-pc *compiled plan* that
-  pre-binds every statistics object the record touches — no Variable
-  construction, no hashing, no dict probes on the hot path.  A plan is
-  invalidated (popped, its lazy counters settled) exactly when a new
-  variable materialises at one of its partner pcs — it joins that plan's
-  candidate-pair set — via a reverse watcher index rather than a global
-  epoch, and recompiles on its next record; records whose
-  conditional-slot presence pattern deviates from the plan fall back to
-  :meth:`observe`, which keeps both paths exactly state-equal.  Only the
-  slots :mod:`repro.vm.observe` can actually emit as ``None`` (a
-  faulting load's value, value/target on an empty stack) carry presence
-  checks — for every other instruction the plan's ``presence`` is None
-  and the digest skips the test entirely.  Pair maintenance, the
-  digest's dominant cost, runs over per-direction value vectors with a
-  C-level ``max``/``min`` falsification test and lazy sample counters
-  (see :class:`_PairGroup`).
-- :meth:`InferenceEngine.observe_batch` is the batched front end's
-  entry: the same compiled digest fused with the per-record front-end
-  bookkeeping (activation markers, procedure attribution, the partial
-  tracing filter) in a single loop with every engine attribute hoisted
-  to a local — no per-record method call, no per-record ``self``
-  traffic.
+The engine has one intake, :meth:`InferenceEngine.observe_batch`: it
+digests a buffered stretch of flat raw snapshots (:mod:`repro.vm.observe`
+records), fused with the front end's per-record bookkeeping (activation
+markers, procedure attribution, the partial tracing filter) in a single
+loop with every engine attribute hoisted to a local.  Each record goes
+through a per-pc *compiled plan* that pre-binds every statistics object
+the record touches — no Variable construction, no hashing, no dict probes
+on the hot path.  A plan is retired (popped, its lazy counters settled)
+exactly when a new variable materialises at one of its partner pcs — it
+joins that plan's candidate-pair set — via a reverse watcher index rather
+than a global epoch, and recompiles on its next record.  A plan also
+fixes which conditional slots are present; only the slots
+:mod:`repro.vm.observe` can emit as ``None`` (a faulting load's value,
+value/target on an empty stack) carry that presence check, and a record
+that deviates retires the plan and is digested through one compiled from
+that record.  For every other instruction the plan's ``presence`` is
+None and the digest skips the test entirely.  Pair maintenance, the
+digest's dominant cost, runs over per-direction value vectors with a
+C-level ``max``/``min`` falsification test and lazy sample counters (see
+:class:`_PairGroup`).
 
 ``finalize()`` produces an :class:`~repro.learning.database.InvariantDatabase`.
 """
@@ -60,11 +52,10 @@ from repro.learning.invariants import (
     OneOf,
     SPOffset,
 )
-from repro.learning.pointers import PointerClassifier, disqualifies_pointer
-from repro.learning.variables import EXCLUDED_SLOTS, Variable
-from repro.vm.hooks import OperandObservation
-from repro.vm.isa import Opcode, to_signed
-from repro.vm.observe import observation_from_record, operand_layout
+from repro.learning.pointers import PointerClassifier
+from repro.learning.variables import Variable
+from repro.vm.isa import Opcode
+from repro.vm.observe import operand_layout
 
 #: Multiplier/offset for the order-sensitive value-sequence fingerprint.
 _FNV_PRIME = 1099511628211
@@ -108,23 +99,6 @@ class _VariableStats:
     #: compiled plans carry bare ``(index, stats)`` slot entries.
     variable: "Variable | None" = None
 
-    def update(self, value: int) -> None:
-        signed = to_signed(value)
-        if self.count == 0:
-            self.minimum = signed
-        else:
-            self.minimum = min(self.minimum, signed)
-        self.count += 1
-        if self.one_of_alive:
-            self.values.add(value)
-            if len(self.values) > ONE_OF_LIMIT:
-                self.one_of_alive = False
-                self.values.clear()
-        self.fingerprint = ((self.fingerprint ^ (value & _FNV_MASK))
-                            * _FNV_PRIME) & _FNV_MASK
-        self.last = value
-        self.last_signed = signed
-
 
 class _PairGroup:
     """Alive less-than candidates for one computed slot of one plan.
@@ -167,14 +141,14 @@ class _PcPlan:
     record at this pc updates; ``presence`` encodes the
     conditional-slot pattern the plan was compiled for as a
     ``(required indexes, absent indexes)`` pair over the slots that can
-    actually be ``None`` (records deviating from it take the dict-path
-    fallback) — or ``None`` when the instruction has no conditional
-    slots, which skips the test entirely.  Indices are record positions
+    actually be ``None`` (a deviating record retires the plan) — or
+    ``None`` when the instruction has no conditional slots, which skips
+    the test entirely.  Indices are record positions
     (``record[0]`` is the pc, ``record[-1]`` the esp).  ``samples`` and
     the pair groups' counters accumulate lazily and are folded into the
     engine's canonical state by
-    :meth:`InferenceEngine._materialize_plan` (on recompile, fallback,
-    and finalize), so a plan must never be discarded unmaterialized.
+    :meth:`InferenceEngine._materialize_plan` (on recompile and
+    finalize), so a plan must never be discarded unmaterialized.
     A plan stays installed until a variable materialises at one of its
     frozen partner pcs, which pops and settles it eagerly
     (:meth:`InferenceEngine._variable_created`).
@@ -196,22 +170,13 @@ class _PcPlan:
 class _PairStats:
     """Running statistics for one ordered candidate pair (left <= right).
 
-    On the compiled batch path ``samples`` may lag the true count: a
-    plan's :class:`_PairGroup` counts non-falsifying co-observations
-    lazily and folds them in when the pair falsifies, the plan
-    recompiles, or the engine finalizes (see
-    :meth:`InferenceEngine._materialize_plan`)."""
+    ``samples`` may lag the true count: a plan's :class:`_PairGroup`
+    counts non-falsifying co-observations lazily and folds them in when
+    the pair falsifies, the plan recompiles, or the engine finalizes
+    (see :meth:`InferenceEngine._materialize_plan`)."""
 
     samples: int = 0
     falsified: bool = False
-
-    def update(self, left: int, right: int) -> None:
-        if self.falsified:
-            return
-        if to_signed(left) > to_signed(right):
-            self.falsified = True
-        else:
-            self.samples += 1
 
 
 @dataclass(slots=True)
@@ -221,13 +186,6 @@ class _SPStats:
     offset: int = 0
     constant: bool = True
     samples: int = 0
-
-    def update(self, delta: int) -> None:
-        if self.samples == 0:
-            self.offset = delta
-        elif self.offset != delta:
-            self.constant = False
-        self.samples += 1
 
 
 class InferenceEngine:
@@ -263,7 +221,7 @@ class InferenceEngine:
         self._pc_variables: dict[int, list[Variable]] = {}
         #: Cache of candidate partner pcs per target pc.
         self._partner_cache: dict[int, list[int]] = {}
-        #: Compiled per-pc digest plans for the batched intake path.
+        #: Compiled per-pc digest plans.
         self._plans: dict[int, _PcPlan] = {}
         #: Exact plan invalidation: ``_pair_watchers`` maps a partner
         #: pc to the plan pcs whose candidate-pair sets draw on it (the
@@ -288,66 +246,6 @@ class InferenceEngine:
                 plan = plans.pop(watcher_pc, None)
                 if plan is not None:
                     self._materialize_plan(plan)
-
-    # ------------------------------------------------------------------
-    # Observation intake
-    # ------------------------------------------------------------------
-
-    def observe(self, observation: OperandObservation,
-                procedure_entry: int | None,
-                sp_entry: int | None) -> None:
-        """Digest one instruction execution's operand observation."""
-        self.observations += 1
-        pc = observation.pc
-        self._pc_samples[pc] = self._pc_samples.get(pc, 0) + 1
-
-        for slot, value in observation.slots.items():
-            if slot in EXCLUDED_SLOTS:
-                continue
-            variable = Variable(pc, slot)
-            stats = self._variables.get(variable)
-            if stats is None:
-                stats = _VariableStats()
-                stats.variable = variable
-                self._variables[variable] = stats
-                self._pc_variables.setdefault(pc, []).append(variable)
-                self._variable_created(pc)
-            stats.update(value)
-            self.pointer_classifier.observe(variable, value)
-
-        if observation.computed and self.pair_scope != "none":
-            self._update_pairs(pc, observation)
-
-        if sp_entry is not None and procedure_entry is not None:
-            esp = observation.slots.get("esp")
-            if esp is not None:
-                stats = self._sp.get(pc)
-                if stats is None:
-                    stats = _SPStats()
-                    self._sp[pc] = stats
-                stats.update(to_signed(esp - sp_entry))
-
-    def _update_pairs(self, pc: int,
-                      observation: OperandObservation) -> None:
-        """Update less-than candidates pairing earlier variables with the
-        variables this instruction computes."""
-        partners = self._partner_pcs(pc)
-        if not partners:
-            return
-        for slot in observation.computed:
-            value = observation.slots.get(slot)
-            if value is None:
-                continue
-            target = Variable(pc, slot)
-            for partner_pc in partners:
-                for other in self._pc_variables.get(partner_pc, ()):
-                    if other == target:
-                        continue
-                    other_value = self._variables[other].last
-                    if other_value is None:
-                        continue
-                    self._pair(other, target).update(other_value, value)
-                    self._pair(target, other).update(value, other_value)
 
     def _pair(self, left: Variable, right: Variable) -> _PairStats:
         key = (left, right)
@@ -377,107 +275,28 @@ class InferenceEngine:
         return partners
 
     # ------------------------------------------------------------------
-    # Batched observation intake (compiled per-pc plans)
+    # Observation intake (compiled per-pc plans)
     # ------------------------------------------------------------------
-
-    def observe_record(self, record: tuple,
-                       procedure_entry: int | None,
-                       sp_entry: int | None) -> None:
-        """Digest one raw operand snapshot — :meth:`observe`'s compiled
-        twin, state-equal by construction (and pinned by tests)."""
-        pc = record[0]
-        plan = self._plans.get(pc)
-        if plan is None:
-            plan = self._compile_plan(pc, record)
-            self._plans[pc] = plan
-        presence = plan.presence
-        if presence is not None:
-            for index in presence[0]:
-                if record[index] is None:
-                    return self._observe_fallback(
-                        record, procedure_entry, sp_entry)
-            for index in presence[1]:
-                if record[index] is not None:
-                    return self._observe_fallback(
-                        record, procedure_entry, sp_entry)
-        self.observations += 1
-        plan.samples += 1
-
-        classifier = self.pointer_classifier
-        for index, stats in plan.slot_entries:
-            value = record[index]
-            signed = value - 0x100000000 if value >= 0x80000000 else value
-            if stats.count == 0:
-                stats.minimum = signed
-            elif signed < stats.minimum:
-                stats.minimum = signed
-            stats.count += 1
-            if stats.one_of_alive:
-                values = stats.values
-                values.add(value)
-                if len(values) > ONE_OF_LIMIT:
-                    stats.one_of_alive = False
-                    values.clear()
-            stats.fingerprint = ((stats.fingerprint ^ value)
-                                 * _FNV_PRIME) & _FNV_MASK
-            if not stats.not_pointer and disqualifies_pointer(signed):
-                stats.not_pointer = True
-                classifier.disqualify(stats.variable)
-            stats.last = value
-            stats.last_signed = signed
-
-        for group in plan.pair_groups:
-            signed = group.target.last_signed
-            stats_list = group.fwd_stats
-            if stats_list:
-                if max(map(_LAST_SIGNED, stats_list)) > signed:
-                    self._falsify_forward(group, signed)
-                else:
-                    group.fwd_count += 1
-            stats_list = group.rev_stats
-            if stats_list:
-                if min(map(_LAST_SIGNED, stats_list)) < signed:
-                    self._falsify_reverse(group, signed)
-                else:
-                    group.rev_count += 1
-
-        if sp_entry is not None and procedure_entry is not None:
-            sp_stats = plan.sp
-            if sp_stats is None:
-                sp_stats = self._sp.get(pc)
-                if sp_stats is None:
-                    sp_stats = _SPStats()
-                    self._sp[pc] = sp_stats
-                plan.sp = sp_stats
-            delta = (record[-1] - sp_entry) & 0xFFFFFFFF
-            if delta >= 0x80000000:
-                delta -= 0x100000000
-            if sp_stats.samples == 0:
-                sp_stats.offset = delta
-            elif sp_stats.offset != delta:
-                sp_stats.constant = False
-            sp_stats.samples += 1
 
     def observe_batch(self, records: list, activations: list,
                       make_activation, entry_cache: dict,
                       procedure_of, traced_set) -> tuple[int, int]:
         """Digest one buffered stretch of raw snapshots, in order.
 
-        This is :meth:`observe_record` fused with the batched front
-        end's per-record bookkeeping — activation-marker replay
+        The per-pc plan digest fused with the front end's per-record
+        bookkeeping — activation-marker replay
         (``record[0] is None``), procedure attribution through the front
         end's *entry_cache*, and the partial-tracing filter — in a
         single loop with every per-record attribute hoisted to a local.
         The caller owns *activations* (mutated in place, so buffer
         boundaries never lose the call shadow) and the cache; the return
         value is ``(traced, skipped)`` record counts for the front end's
-        accounting.  State-equality with the per-record paths is pinned
-        by the batched-vs-legacy equality tests.
+        accounting.  The digested databases are pinned by golden digests
+        and by the compiled-vs-``step()`` learning differential.
         """
         plans = self._plans
         plans_get = plans.get
         compile_plan = self._compile_plan
-        fallback = self._observe_fallback
         falsify_forward = self._falsify_forward
         falsify_reverse = self._falsify_reverse
         disqualify = self.pointer_classifier.disqualify
@@ -490,7 +309,6 @@ class InferenceEngine:
         top_entry = top.entry if top is not None else None
         markers = 0
         skipped = 0
-        fallbacks = 0
         for record in records:
             pc = record[0]
             if pc is None:
@@ -516,28 +334,23 @@ class InferenceEngine:
                 skipped += 1
                 continue
             plan = plans_get(pc)
-            if plan is None:
-                plan = compile_plan(pc, record)
-                plans[pc] = plan
-            presence = plan.presence
+            presence = plan.presence if plan is not None else None
             if presence is not None:
-                deviates = False
                 for index in presence[0]:
                     if record[index] is None:
-                        deviates = True
+                        plan = None
                         break
-                if not deviates:
+                else:
                     for index in presence[1]:
                         if record[index] is not None:
-                            deviates = True
+                            plan = None
                             break
-                if deviates:
-                    fallbacks += 1
-                    sp_entry = top.sp_entry if (
-                        entry is not None and top_entry == entry) \
-                        else None
-                    fallback(record, entry, sp_entry)
-                    continue
+            if plan is None:
+                # No plan yet, or this record's conditional slots
+                # deviate from it: compile one from this record (which
+                # retires and settles the old plan first).
+                plan = compile_plan(pc, record)
+                plans[pc] = plan
             plan.samples += 1
 
             for index, stats in plan.slot_entries:
@@ -598,7 +411,7 @@ class InferenceEngine:
                     sp_stats.constant = False
                 sp_stats.samples += 1
         traced = len(records) - markers - skipped
-        self.observations += traced - fallbacks
+        self.observations += traced
         return traced, skipped
 
     def _falsify_forward(self, group: _PairGroup, signed: int) -> None:
@@ -636,8 +449,8 @@ class InferenceEngine:
     def _materialize_plan(self, plan: _PcPlan) -> None:
         """Fold a plan's lazy counters into the canonical engine state
         (idempotent: every counter resets as it lands).  Must run before
-        a plan is replaced or abandoned, before the dict-path fallback
-        touches its pc, and before finalization reads the statistics."""
+        a plan is replaced or abandoned, and before finalization reads
+        the statistics."""
         if plan.samples:
             samples = self._pc_samples
             pc = plan.pc
@@ -658,10 +471,11 @@ class InferenceEngine:
     def _compile_plan(self, pc: int, record: tuple) -> _PcPlan:
         """Bind the statistics objects records at *pc* update.
 
-        Variables materialise here exactly as they would on a first
-        legacy observation (same creation, same classifier seeding); the
-        triggering record is digested through the fresh plan right after,
-        so statistics timing matches the dict path.  The plan being
+        The plan is compiled *from* the triggering *record*, which is
+        digested through it right after: a slot the record carries as
+        ``None`` (a conditional slot it lacks) is absent from the plan —
+        no statistics update and no pairs — and a variable materialises
+        at the first record that carries its slot.  The plan being
         replaced settles its lazy counters first, and the fresh pair
         groups carry only directions still alive — already-falsified
         pairs are permanently inert, so they drop out of the hot loop.
@@ -674,17 +488,18 @@ class InferenceEngine:
         conditional = _CONDITIONAL_SLOTS.get(instruction.opcode, ())
         variables = self._variables
         slot_entries = []
+        present = {}
         required = []
         absent = []
         for position, name in enumerate(names):
             index = position + 1
+            if record[index] is None:
+                # A conditional slot this record lacks.
+                absent.append(index)
+                continue
             variable = Variable(pc, name)
             stats = variables.get(variable)
             if stats is None:
-                if record[index] is None:
-                    # Conditional slot not (yet) exhibited: no variable.
-                    absent.append(index)
-                    continue
                 stats = _VariableStats()
                 stats.variable = variable
                 variables[variable] = stats
@@ -694,6 +509,7 @@ class InferenceEngine:
             if name in conditional:
                 required.append(index)
             slot_entries.append((index, stats))
+            present[name] = stats
 
         pair_groups = []
         if computed and self.pair_scope != "none":
@@ -708,10 +524,10 @@ class InferenceEngine:
                         watching.add(pc)
                 pc_variables = self._pc_variables
                 for slot in computed:
-                    target = Variable(pc, slot)
-                    target_stats = variables.get(target)
+                    target_stats = present.get(slot)
                     if target_stats is None:
                         continue
+                    target = target_stats.variable
                     fwd_stats: list = []
                     fwd_pairs: list = []
                     rev_stats: list = []
@@ -740,23 +556,6 @@ class InferenceEngine:
                        slot_entries=tuple(slot_entries),
                        pair_groups=tuple(pair_groups),
                        presence=presence)
-
-    def _observe_fallback(self, record: tuple,
-                          procedure_entry: int | None,
-                          sp_entry: int | None) -> None:
-        """Dict-path digestion for records off the compiled plan (a
-        conditional slot appeared or vanished); any new variable pops
-        the watching plans, and this pc recompiles on its next record.
-        The deviating pc's plan settles its lazy counters and retires
-        first: the dict path updates the canonical statistics directly,
-        which would race an outstanding counter on the same pairs."""
-        pc = record[0]
-        plan = self._plans.pop(pc, None)
-        if plan is not None:
-            self._materialize_plan(plan)
-        instruction = self.procedures.binary.decode_at(pc)
-        observation = observation_from_record(instruction, record)
-        self.observe(observation, procedure_entry, sp_entry)
 
     # ------------------------------------------------------------------
     # Finalization

@@ -6,24 +6,16 @@ online.  The front end also tracks procedure activations (its own
 lightweight call shadow) so the engine can compute stack-pointer offsets
 relative to procedure entry.
 
-Two intake modes, identical in what the engine learns:
-
-- **batched** (the default): the front end subscribes as a
-  ``lazy_operands`` hook.  The CPU snapshots raw operand tuples through
-  compiled extractors (:mod:`repro.vm.observe`), buffers them, and
-  delivers them in bulk when the buffer fills.  Activation transitions
-  arrive *in-band* as markers interleaved with the observations
-  (``record[0] is None``), so the batch replays the exact call/return
-  sequence and every record digests under the activation it executed
-  in — no per-transfer flush, and the eager ``on_transfer`` /
-  ``on_return`` routes are suppressed entirely.  The front end's
-  :meth:`observes` filter confines extraction to the traced procedures
-  *at the kernel level*: an untraced instruction costs nothing at all,
-  not even a skipped callback.
-- **legacy** (``batched=False``): per-instruction ``on_operands``
-  callbacks over dict-shaped observations — the original path, kept as
-  the semantic reference (the equality tests pin the two against each
-  other).
+The front end subscribes as a ``lazy_operands`` hook, the machine's only
+operand intake.  The CPU snapshots raw operand tuples through compiled
+extractors (:mod:`repro.vm.observe`), buffers them, and delivers them in
+bulk when the buffer fills.  Activation transitions arrive *in-band* as
+markers interleaved with the observations (``record[0] is None``), so
+the batch replays the exact call/return sequence and every record
+digests under the activation it executed in — no per-transfer flush and
+no transfer or return callback.  The front end's :meth:`observes` filter
+confines extraction to the traced procedures *at the kernel level*: an
+untraced instruction costs nothing at all, not even a skipped callback.
 
 Partial tracing (§3.1): a front end can be confined to a subset of
 procedures, which is how an application community distributes learning
@@ -37,10 +29,7 @@ from dataclasses import dataclass
 from repro.cfg.discovery import ProcedureDatabase
 from repro.learning.inference import InferenceEngine
 from repro.vm.cpu import CPU
-from repro.vm.hooks import ExecutionHook, OperandObservation, TransferKind
-from repro.vm.isa import Register
-
-_UNSET = object()
+from repro.vm.hooks import ExecutionHook
 
 
 @dataclass
@@ -61,9 +50,6 @@ class TraceFrontEnd(ExecutionHook):
     traced_procedures:
         If not None, only instructions belonging to these procedure
         entries are traced (partial/distributed learning).
-    batched:
-        Use the batched kernel-level observation path (default); pass
-        False for the per-instruction callback path.
     pruned_pcs:
         Instruction addresses the static pruner proved redundant
         (:mod:`repro.analysis.pruning`); their extractors are never
@@ -72,49 +58,27 @@ class TraceFrontEnd(ExecutionHook):
         epoch-stable.
     """
 
+    lazy_operands = True
+
     def __init__(self, engine: InferenceEngine,
                  procedures: ProcedureDatabase,
                  traced_procedures: set[int] | None = None,
-                 batched: bool = True,
                  pruned_pcs: frozenset[int] = frozenset()):
         self.engine = engine
         self.procedures = procedures
         self.traced_procedures = traced_procedures
         self.pruned_pcs = pruned_pcs
-        self.batched = batched
-        if batched:
-            self.lazy_operands = True
-            # Activations replay from in-band batch markers; the eager
-            # transfer/return routes would double-count them.
-            self.suppressed_events = ("on_transfer", "on_return")
-            # Tracing everything means the kernel filter is the
-            # identity forever — let the kernel skip epoch polling.
-            # (The pruned set is fixed at construction, so it never
-            # perturbs epoch stability.)
-            self.observation_epoch_stable = traced_procedures is None
-        else:
-            self.wants_operands = True
+        # Tracing everything means the kernel filter is the identity
+        # forever — let the kernel skip epoch polling.  (The pruned set
+        # is fixed at construction, so it never perturbs epoch
+        # stability.)
+        self.observation_epoch_stable = traced_procedures is None
         self._activations: list[_Activation] = []
         self.traced = 0
         self.skipped = 0
         #: pc -> procedure entry (or None), valid per database version.
         self._entry_cache: dict[int, int | None] = {}
         self._entry_cache_version = -1
-
-    # -- activation tracking ------------------------------------------------
-    # In batched mode these eager routes are suppressed (see __init__);
-    # the same transitions replay from the in-band batch markers.  They
-    # remain the activation source for the legacy per-instruction path.
-
-    def on_transfer(self, cpu: CPU, pc: int, kind: str,
-                    target: int) -> None:
-        if kind in (TransferKind.CALL, TransferKind.INDIRECT_CALL):
-            self._activations.append(_Activation(
-                entry=target, sp_entry=cpu.registers[Register.ESP]))
-
-    def on_return(self, cpu: CPU, pc: int, target: int) -> None:
-        if self._activations:
-            self._activations.pop()
 
     # -- kernel-level observation filter --------------------------------------
 
@@ -136,22 +100,13 @@ class TraceFrontEnd(ExecutionHook):
 
     # -- observation intake ---------------------------------------------------
 
-    def _entry_of(self, pc: int) -> int | None:
-        entry = self._entry_cache.get(pc, _UNSET)
-        if entry is _UNSET:
-            procedure = self.procedures.procedure_of(pc)
-            entry = procedure.entry if procedure is not None else None
-            self._entry_cache[pc] = entry
-        return entry
-
     def on_operand_batch(self, cpu: CPU, records: list[tuple]) -> None:
         """Digest one buffered stretch of raw snapshots, in order.
 
         Activation markers (``record[0] is None``) are interleaved with
-        the observations at exactly the points the eager ``on_transfer``
-        / ``on_return`` callbacks would have fired, so replaying them
-        keeps the call shadow bit-equal to the legacy path no matter
-        where the buffer boundaries fall.  The replay and the digest run
+        the observations at exactly the calls and returns that executed,
+        so replaying them keeps the call shadow exact no matter where
+        the buffer boundaries fall.  The replay and the digest run
         as one fused loop inside the engine
         (:meth:`~repro.learning.inference.InferenceEngine.observe_batch`)
         — the front end hands over its activation list (mutated in
@@ -168,18 +123,3 @@ class TraceFrontEnd(ExecutionHook):
             procedures.procedure_of, self.traced_procedures)
         self.traced += traced
         self.skipped += skipped
-
-    def on_operands(self, cpu: CPU,
-                    observation: OperandObservation) -> None:
-        procedure = self.procedures.procedure_of(observation.pc)
-        entry = procedure.entry if procedure is not None else None
-        if self.traced_procedures is not None and \
-                entry not in self.traced_procedures:
-            self.skipped += 1
-            return
-        sp_entry = None
-        if self._activations and entry is not None and \
-                self._activations[-1].entry == entry:
-            sp_entry = self._activations[-1].sp_entry
-        self.traced += 1
-        self.engine.observe(observation, entry, sp_entry)

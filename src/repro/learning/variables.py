@@ -5,7 +5,7 @@ a specific instruction (§2.2): the content of a register operand, a loaded
 or stored value, a computed effective address, an indirect-transfer target.
 We identify a variable by ``(pc, slot)`` where ``slot`` is the stable
 per-opcode operand name assigned by
-:meth:`repro.vm.cpu.CPU.observe_operands`.
+:func:`repro.vm.observe.operand_layout`.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.vm.binary import Binary
 from repro.vm.isa import Instruction, Opcode, OperandKind
+from repro.vm.observe import shared_extractor, slot_index
 
 
 @dataclass(frozen=True, order=True)
@@ -31,10 +32,6 @@ class Variable:
         """Inverse of ``str``: ``"0x40:target"`` -> Variable(0x40, "target")."""
         pc_text, _, slot = text.partition(":")
         return cls(pc=int(pc_text, 16), slot=slot)
-
-
-#: Slots that are never useful in invariants (bookkeeping values).
-EXCLUDED_SLOTS = frozenset({"esp"})
 
 
 def writable_register(instruction: Instruction, slot: str) -> int | None:
@@ -116,15 +113,20 @@ def read_variable_value(cpu, pc: int, instruction: Instruction, slot: str,
                         when: str) -> int | None:
     """Read the current value of (pc, slot) from a patch context.
 
-    "before" placement reads via the CPU's operand observer (pre-state);
-    "after" placement reads the backing register post-execution.  When an
-    after-placed patch needs a *read* slot of the same instruction (a
-    same-instruction two-variable invariant), the slot's backing register
-    is read directly — valid as long as the instruction did not clobber
-    it, which holds for all code shapes in this repository.
+    "before" placement reads the slot from a fresh record of the
+    binary's shared extractor for *pc* (pre-state); "after" placement
+    reads the backing register post-execution.  When an after-placed
+    patch needs a *read* slot of the same instruction (a same-instruction
+    two-variable invariant), the slot's backing register is read
+    directly — valid as long as the instruction did not clobber it,
+    which holds for all code shapes in this repository.
     """
     if when == "before":
-        return cpu.observe_operands(pc, instruction).slots.get(slot)
+        index = slot_index(instruction, slot)
+        if index is None:
+            return None
+        return shared_extractor(cpu.binary, pc, instruction)(
+            cpu.registers, cpu.memory)[index]
     value = read_post(cpu, instruction, slot)
     if value is not None:
         return value

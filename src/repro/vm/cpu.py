@@ -6,16 +6,19 @@ is layered on via :class:`~repro.vm.hooks.ExecutionHook` instances routed
 through a :class:`~repro.vm.hooks.HookBus`; the interpreter itself is
 policy-free.
 
-Execution is table driven: each opcode indexes ``_DISPATCH`` to its
-handler, and events reach only their subscribers.  When nothing
-subscribes to the per-instruction events (``before_instruction``,
-``after_instruction``, eager ``on_operands`` observation),
-:meth:`CPU.run` drops into a fast inner loop that skips event dispatch
-entirely and probes only the pc-anchored routing tables (where patches
-and the code cache live), so a
-fully monitored run and a bare run execute bit-identically — the monitors
-still see every store and transfer — while the bare run pays none of the
-hook plumbing.
+Execution is table driven, and every straight-line opcode is defined
+once: as a *micro-op maker* in ``_MICRO_MAKERS``.  The threaded table
+binds each pc to a handler derived from its instruction's micro-op, and
+the run compiler fuses the very same micro-ops into superinstructions;
+only control transfers, heap service, HALT and NOP keep ``_op_*``
+handlers (``_HANDLERS``).  Events reach only their subscribers.  When
+nothing subscribes to the per-instruction events
+(``before_instruction``, ``after_instruction``), :meth:`CPU.run` drops
+into a fast inner loop that skips event dispatch entirely and probes
+only the pc-anchored routing tables (where patches and the code cache
+live), so a fully monitored run and a bare run execute bit-identically
+— the monitors still see every store and transfer — while the bare run
+pays none of the hook plumbing.
 
 On top of the threaded-code table sits the *superblock engine*: once the
 code cache registers a materialised basic block on the bus, the CPU
@@ -52,11 +55,11 @@ Attaching such a subscriber flips the elision premise; every compiled
 run is discarded and lazily recompiled with barriers restored.
 
 Learning mode is the same loop and the same compiler with a non-empty
-*observation set*.  Instead of building a dict-shaped observation per
-instruction, an observed instruction appends a compiled raw snapshot
-(:mod:`repro.vm.observe`) to a ring buffer — and only at the pcs its
-``lazy_operands`` subscribers actually trace, so observation cost is
-confined to traced procedures at the kernel level, not the front end.
+*observation set*: an observed instruction appends a compiled raw
+snapshot (:mod:`repro.vm.observe`) to a ring buffer — the machine's only
+operand intake — and only at the pcs its ``lazy_operands`` subscribers
+actually trace, so observation cost is confined to traced procedures at
+the kernel level, not the front end.
 The run compiler takes the observed pcs of a stretch as its third input
 (next to the stretch and the elision premise) and emits an *extraction
 micro-op* ahead of each observed instruction's own micro-op, so the
@@ -109,7 +112,7 @@ from repro.vm.isa import (
     to_signed,
 )
 from repro.vm.memory import Memory
-from repro.vm.observe import build_extractor
+from repro.vm.observe import observation_from_record, shared_extractor
 
 #: Default instruction budget; generous for the workloads in this repo.
 DEFAULT_MAX_STEPS = 5_000_000
@@ -184,7 +187,6 @@ class CPU:
         # ``hooks`` doubles as the registration-order view callers
         # (e.g. the repair layer) inspect.
         self.hooks = bus.hooks
-        self._operand_hooks = bus.operands
         self._before = bus.before
         self._after = bus.after
         self._stores = bus.store
@@ -199,12 +201,13 @@ class CPU:
         #: the dynamo layer, not here).
         self._decoded: dict[int, Instruction] = binary.decode_all()
         #: Threaded-code view of the image: pc -> (handler, instruction),
-        #: so the fast loop resolves fetch and dispatch in one probe.
-        #: Derived purely from the (immutable) image, so it is built once
-        #: per binary and shared by every CPU launched on it.
+        #: so both loops resolve fetch and dispatch in one probe.  The
+        #: handlers bind only instruction constants (see
+        #: :func:`_handler_for`), so the table is built once per binary
+        #: and shared by every CPU launched on it.
         code = binary._threaded_cache
         if code is None:
-            code = {pc: (_DISPATCH[ins.opcode], ins)
+            code = {pc: (_handler_for(pc, ins), ins)
                     for pc, ins in self._decoded.items()}
             binary._threaded_cache = code
         self._code: dict[int, tuple] = code
@@ -285,10 +288,6 @@ class CPU:
     def set_register(self, reg: int, value: int) -> None:
         self.registers[reg] = value & WORD_MASK
 
-    def _set_flags(self, left: int, right: int) -> None:
-        self._flag_left = left & WORD_MASK
-        self._flag_right = right & WORD_MASK
-
     _flag_left = 0
     _flag_right = 0
 
@@ -298,36 +297,9 @@ class CPU:
     #: and cleared — by the executor's exception accounting.
     _fault_pc: int | None = None
 
-    def _condition(self, opcode: Opcode) -> bool:
-        left, right = self._flag_left, self._flag_right
-        # Unsigned comparisons first: they need no sign conversion.
-        if opcode == Opcode.JE:
-            return left == right
-        if opcode == Opcode.JNE:
-            return left != right
-        if opcode == Opcode.JB:
-            return left < right
-        if opcode == Opcode.JAE:
-            return left >= right
-        sleft, sright = to_signed(left), to_signed(right)
-        if opcode == Opcode.JL:
-            return sleft < sright
-        if opcode == Opcode.JLE:
-            return sleft <= sright
-        if opcode == Opcode.JG:
-            return sleft > sright
-        if opcode == Opcode.JGE:
-            return sleft >= sright
-        raise InvalidInstruction(f"not a condition: {opcode}", pc=self.pc)
-
     # ------------------------------------------------------------------
     # Memory helpers (stores funnel through one choke point for hooks)
     # ------------------------------------------------------------------
-
-    def _effective_address(self, base: int, disp: int) -> int:
-        if base == ABSOLUTE_BASE:
-            return disp & WORD_MASK
-        return (self.registers[base] + disp) & WORD_MASK
 
     def store_word(self, address: int, value: int, pc: int) -> None:
         """Program-visible word store; notifies subscribers (Heap Guard)."""
@@ -369,133 +341,16 @@ class CPU:
 
     def observe_operands(self, pc: int,
                          instruction: Instruction) -> OperandObservation:
-        """Build the trace record for *instruction* in the current state.
+        """The dict-shaped trace record for *instruction* in the current
+        state: the binary's shared extractor record, rebuilt.
 
         Slot names are stable per opcode, so (pc, slot) identifies a
         Daikon variable.  ``computed`` marks the slot(s) this instruction
         computes, per the §2.2.2 scoping rule.
         """
-        op = instruction.opcode
-        regs = self.registers
-        slots: dict[str, int] = {}
-        computed: tuple[str, ...] = ()
-
-        if op in (Opcode.MOV, Opcode.ADD, Opcode.SUB, Opcode.MUL,
-                  Opcode.DIV, Opcode.AND, Opcode.OR, Opcode.XOR,
-                  Opcode.SHL, Opcode.SHR, Opcode.SAR):
-            if instruction.b_kind == OperandKind.REGISTER:
-                source = regs[instruction.b]
-            else:
-                source = instruction.b
-            slots["src"] = source
-            if op != Opcode.MOV:
-                # The ALU also *reads* the destination register.
-                slots["dst_in"] = regs[instruction.a]
-            # "dst" is the value the instruction computes — evaluated here
-            # (pure function of the pre-state) so trace records, checks,
-            # and enforcement all agree on its meaning.
-            slots["dst"] = self._alu_result(op, regs[instruction.a],
-                                            source)
-            computed = ("dst",)
-        elif op in (Opcode.NEG, Opcode.NOT):
-            slots["dst_in"] = regs[instruction.a]
-            if op == Opcode.NEG:
-                slots["dst"] = (-to_signed(regs[instruction.a])) & WORD_MASK
-            else:
-                slots["dst"] = (~regs[instruction.a]) & WORD_MASK
-            computed = ("dst",)
-        elif op in (Opcode.LOAD, Opcode.LOADB):
-            address = self._effective_address(instruction.b, instruction.c)
-            slots["addr"] = address
-            try:
-                if op == Opcode.LOAD:
-                    slots["value"] = self.memory.read_word(address)
-                else:
-                    slots["value"] = self.memory.read_byte(address)
-            except MemoryFault:
-                # The load is about to fault; the addr slot is still
-                # observable (and is what a correlated invariant needs).
-                pass
-            computed = ("value", "addr")
-        elif op == Opcode.LEA:
-            slots["addr"] = self._effective_address(instruction.b,
-                                                    instruction.c)
-            computed = ("addr",)
-        elif op in (Opcode.STORE, Opcode.STOREB):
-            address = self._effective_address(instruction.a, instruction.c)
-            slots["addr"] = address
-            slots["value"] = regs[instruction.b]
-            computed = ("addr", "value")
-        elif op in (Opcode.CMP, Opcode.TEST):
-            slots["left"] = regs[instruction.a]
-            if instruction.b_kind == OperandKind.REGISTER:
-                slots["right"] = regs[instruction.b]
-            else:
-                slots["right"] = instruction.b
-            computed = ("left",)
-        elif op == Opcode.PUSH:
-            if instruction.b_kind == OperandKind.REGISTER:
-                slots["value"] = regs[instruction.b]
-            else:
-                slots["value"] = instruction.b
-            computed = ("value",)
-        elif op == Opcode.POP:
-            esp = regs[Register.ESP]
-            if esp + WORD_SIZE <= self.memory.stack_top:
-                slots["value"] = self.memory.read_word(esp)
-                computed = ("value",)
-        elif op in (Opcode.CALLR, Opcode.JMPR):
-            slots["target"] = regs[instruction.a]
-            computed = ("target",)
-        elif op == Opcode.ALLOC:
-            if instruction.b_kind == OperandKind.REGISTER:
-                slots["size"] = regs[instruction.b]
-            else:
-                slots["size"] = instruction.b
-            computed = ("size",)
-        elif op == Opcode.FREE:
-            slots["value"] = regs[instruction.a]
-            computed = ("value",)
-        elif op in (Opcode.OUT, Opcode.OUTB):
-            if instruction.b_kind == OperandKind.REGISTER:
-                slots["value"] = regs[instruction.b]
-            else:
-                slots["value"] = instruction.b
-            computed = ("value",)
-        elif op == Opcode.RET:
-            esp = regs[Register.ESP]
-            if esp + WORD_SIZE <= self.memory.stack_top:
-                slots["target"] = self.memory.read_word(esp)
-        # Direct jumps/calls, ENTER, LEAVE, HALT, NOP: no data operands.
-
-        slots["esp"] = regs[Register.ESP]
-        return OperandObservation(pc=pc, slots=slots, computed=computed)
-
-    def _alu_result(self, op: Opcode, left: int, right: int) -> int:
-        """The value an ALU instruction will compute (pre-state function)."""
-        if op == Opcode.MOV:
-            return right & WORD_MASK
-        if op == Opcode.ADD:
-            return (left + right) & WORD_MASK
-        if op == Opcode.SUB:
-            return (left - right) & WORD_MASK
-        if op == Opcode.MUL:
-            return (left * right) & WORD_MASK
-        if op == Opcode.DIV:
-            return (left // right) & WORD_MASK if right else 0
-        if op == Opcode.AND:
-            return left & right
-        if op == Opcode.OR:
-            return left | right
-        if op == Opcode.XOR:
-            return left ^ right
-        if op == Opcode.SHL:
-            return (left << (right & 31)) & WORD_MASK
-        if op == Opcode.SHR:
-            return (left >> (right & 31)) & WORD_MASK
-        if op == Opcode.SAR:
-            return (to_signed(left) >> (right & 31)) & WORD_MASK
-        return left
+        record = shared_extractor(self.binary, pc, instruction)(
+            self.registers, self.memory)
+        return observation_from_record(instruction, record)
 
     # ------------------------------------------------------------------
     # Execution
@@ -521,7 +376,10 @@ class CPU:
         self.steps += 1
 
         pc = self.pc
-        instruction = self.fetch(pc)
+        entry = self._code.get(pc)
+        if entry is None:
+            self.fetch(pc)  # raises the precise fault for this pc
+        handler, instruction = entry
 
         # Dispatch iterates snapshots: a hook may subscribe/unsubscribe
         # (or apply/remove patches) from inside its callback without
@@ -538,10 +396,6 @@ class CPU:
             result = hook.before_instruction(self, pc, instruction)
             if result is not None:
                 redirect = result
-        if self._operand_hooks:
-            observation = self.observe_operands(pc, instruction)
-            for hook in tuple(self._operand_hooks):
-                hook.on_operands(self, observation)
         if self._lazy:
             epoch = self._lazy_epoch()
             if epoch != self._obs_epoch:
@@ -563,7 +417,7 @@ class CPU:
             self.pc = self._transfer(pc, TransferKind.PATCH, redirect)
             return
 
-        self.pc = _DISPATCH[instruction.opcode](self, pc, instruction)
+        self.pc = handler(self, pc, instruction)
 
         after = self._after
         anchored = self._after_pc.get(pc)
@@ -592,7 +446,7 @@ class CPU:
         try:
             while not self.halted:
                 version = bus.version
-                if bus.before or bus.after or bus.operands:
+                if bus.before or bus.after:
                     step = self.step
                     while not self.halted and bus.version == version:
                         step()
@@ -878,10 +732,9 @@ class CPU:
         run = shared.get(key)
         if run is None:
             barriers = frozenset() if elide else _SEGMENT_BARRIERS
-            makers = _MICRO_MAKERS_ELIDED if elide else _MICRO_MAKERS
             segments = tuple(
-                (_compile_ops(segment, makers, extractors), len(segment),
-                 None)
+                (_compile_ops(segment, self._code, elide, extractors),
+                 len(segment), None)
                 for segment in _split_segments(take, barriers))
             run = (segments, len(take))
             shared[key] = run
@@ -1168,16 +1021,8 @@ class CPU:
         if extractor is _UNSET:
             wanted = any(hook.observes(pc)
                          for hook in self.bus.lazy_operands)
-            if wanted:
-                shared = self.binary._extractor_cache
-                if shared is None:
-                    shared = self.binary._extractor_cache = {}
-                extractor = shared.get(pc)
-                if extractor is None:
-                    extractor = shared[pc] = build_extractor(
-                        pc, instruction)
-            else:
-                extractor = None
+            extractor = shared_extractor(self.binary, pc, instruction) \
+                if wanted else None
             cache[pc] = extractor
         return extractor
 
@@ -1199,13 +1044,9 @@ class CPU:
             hook.on_operand_batch(self, records)
 
     # ------------------------------------------------------------------
-    # Instruction semantics (one handler per opcode; see _DISPATCH)
+    # Handlers with no micro-op: transfers, heap service, HALT, NOP
+    # (every straight-line opcode is a micro-op; see _handler_for)
     # ------------------------------------------------------------------
-
-    def _operand_b(self, instruction: Instruction) -> int:
-        if instruction.b_kind == OperandKind.REGISTER:
-            return self.registers[instruction.b]
-        return instruction.b
 
     def _transfer(self, pc: int, kind: str, target: int) -> int:
         """Announce and validate a control transfer; return the target."""
@@ -1229,10 +1070,9 @@ class CPU:
             # In-band activation marker: batched subscribers replay
             # call-shadow pushes from the record stream itself, so the
             # buffer need not flush per transfer.  Appended after
-            # validation — a rejected transfer digests nothing, exactly
-            # like the eager path.  ESP here already reflects the
-            # return-address push, matching what an on_transfer
-            # subscriber would read.
+            # validation — a rejected transfer digests nothing.  ESP
+            # here already reflects the return-address push, matching
+            # what an on_transfer subscriber would read.
             self._obs_buffer.append(
                 (None, target, self.registers[_ESP_]))
         return target
@@ -1254,130 +1094,6 @@ class CPU:
         self.registers[Register.ESP] = esp + WORD_SIZE
         return value
 
-    def _op_mov(self, pc: int, ins: Instruction) -> int:
-        regs = self.registers
-        regs[ins.a] = (regs[ins.b] if ins.b_kind == _REG
-                       else ins.b) & WORD_MASK
-        return pc + INSTRUCTION_SIZE
-
-    def _op_load(self, pc: int, ins: Instruction) -> int:
-        base = ins.b
-        address = (ins.c if base == ABSOLUTE_BASE
-                   else self.registers[base] + ins.c) & WORD_MASK
-        self.registers[ins.a] = self.memory.read_word(address)
-        return pc + INSTRUCTION_SIZE
-
-    def _op_loadb(self, pc: int, ins: Instruction) -> int:
-        base = ins.b
-        address = (ins.c if base == ABSOLUTE_BASE
-                   else self.registers[base] + ins.c) & WORD_MASK
-        self.registers[ins.a] = self.memory.read_byte(address)
-        return pc + INSTRUCTION_SIZE
-
-    def _op_store(self, pc: int, ins: Instruction) -> int:
-        base = ins.a
-        address = (ins.c if base == ABSOLUTE_BASE
-                   else self.registers[base] + ins.c) & WORD_MASK
-        self.store_word(address, self.registers[ins.b], pc)
-        return pc + INSTRUCTION_SIZE
-
-    def _op_storeb(self, pc: int, ins: Instruction) -> int:
-        base = ins.a
-        address = (ins.c if base == ABSOLUTE_BASE
-                   else self.registers[base] + ins.c) & WORD_MASK
-        self.store_byte(address, self.registers[ins.b], pc)
-        return pc + INSTRUCTION_SIZE
-
-    def _op_lea(self, pc: int, ins: Instruction) -> int:
-        base = ins.b
-        self.registers[ins.a] = (
-            ins.c if base == ABSOLUTE_BASE
-            else self.registers[base] + ins.c) & WORD_MASK
-        return pc + INSTRUCTION_SIZE
-
-    def _op_add(self, pc: int, ins: Instruction) -> int:
-        regs = self.registers
-        regs[ins.a] = (regs[ins.a] + (regs[ins.b] if ins.b_kind == _REG
-                                      else ins.b)) & WORD_MASK
-        return pc + INSTRUCTION_SIZE
-
-    def _op_sub(self, pc: int, ins: Instruction) -> int:
-        regs = self.registers
-        regs[ins.a] = (regs[ins.a] - (regs[ins.b] if ins.b_kind == _REG
-                                      else ins.b)) & WORD_MASK
-        return pc + INSTRUCTION_SIZE
-
-    def _op_mul(self, pc: int, ins: Instruction) -> int:
-        regs = self.registers
-        regs[ins.a] = (regs[ins.a] * (regs[ins.b] if ins.b_kind == _REG
-                                      else ins.b)) & WORD_MASK
-        return pc + INSTRUCTION_SIZE
-
-    def _op_div(self, pc: int, ins: Instruction) -> int:
-        divisor = self._operand_b(ins)
-        if divisor == 0:
-            raise DivisionByZero("division by zero", pc=pc)
-        self.set_register(ins.a, self.registers[ins.a] // divisor)
-        return pc + INSTRUCTION_SIZE
-
-    def _op_and(self, pc: int, ins: Instruction) -> int:
-        regs = self.registers
-        regs[ins.a] = (regs[ins.a] & (regs[ins.b] if ins.b_kind == _REG
-                                      else ins.b)) & WORD_MASK
-        return pc + INSTRUCTION_SIZE
-
-    def _op_or(self, pc: int, ins: Instruction) -> int:
-        regs = self.registers
-        regs[ins.a] = (regs[ins.a] | (regs[ins.b] if ins.b_kind == _REG
-                                      else ins.b)) & WORD_MASK
-        return pc + INSTRUCTION_SIZE
-
-    def _op_xor(self, pc: int, ins: Instruction) -> int:
-        regs = self.registers
-        regs[ins.a] = (regs[ins.a] ^ (regs[ins.b] if ins.b_kind == _REG
-                                      else ins.b)) & WORD_MASK
-        return pc + INSTRUCTION_SIZE
-
-    def _op_shl(self, pc: int, ins: Instruction) -> int:
-        regs = self.registers
-        regs[ins.a] = (regs[ins.a] << ((regs[ins.b] if ins.b_kind == _REG
-                                        else ins.b) & 31)) & WORD_MASK
-        return pc + INSTRUCTION_SIZE
-
-    def _op_shr(self, pc: int, ins: Instruction) -> int:
-        regs = self.registers
-        regs[ins.a] = (regs[ins.a] >> ((regs[ins.b] if ins.b_kind == _REG
-                                        else ins.b) & 31)) & WORD_MASK
-        return pc + INSTRUCTION_SIZE
-
-    def _op_sar(self, pc: int, ins: Instruction) -> int:
-        self.set_register(
-            ins.a, to_signed(self.registers[ins.a])
-            >> (self._operand_b(ins) & 31))
-        return pc + INSTRUCTION_SIZE
-
-    def _op_neg(self, pc: int, ins: Instruction) -> int:
-        self.set_register(ins.a, -to_signed(self.registers[ins.a]))
-        return pc + INSTRUCTION_SIZE
-
-    def _op_not(self, pc: int, ins: Instruction) -> int:
-        self.set_register(ins.a, ~self.registers[ins.a])
-        return pc + INSTRUCTION_SIZE
-
-    def _op_cmp(self, pc: int, ins: Instruction) -> int:
-        regs = self.registers
-        self._flag_left = regs[ins.a]
-        self._flag_right = (regs[ins.b] if ins.b_kind == _REG
-                            else ins.b) & WORD_MASK
-        return pc + INSTRUCTION_SIZE
-
-    def _op_test(self, pc: int, ins: Instruction) -> int:
-        regs = self.registers
-        self._flag_left = regs[ins.a] & (
-            regs[ins.b] if ins.b_kind == _REG else ins.b) & WORD_MASK
-        self._flag_right = 0
-        return pc + INSTRUCTION_SIZE
-
     def _op_jmp(self, pc: int, ins: Instruction) -> int:
         return self._transfer(pc, TransferKind.JUMP, ins.a)
 
@@ -1385,14 +1101,8 @@ class CPU:
         return self._transfer(pc, TransferKind.INDIRECT_JUMP,
                               self.registers[ins.a])
 
-    def _op_jcc(self, pc: int, ins: Instruction) -> int:
-        if self._condition(ins.opcode):
-            return self._transfer(pc, TransferKind.BRANCH, ins.a)
-        return pc + INSTRUCTION_SIZE
-
     # Conditional jumps are block terminators — unfusable by nature —
-    # so each gets a dedicated handler with its comparison inlined
-    # rather than paying a _condition() call per branch.
+    # so each gets a dedicated handler with its comparison inlined.
 
     def _op_je(self, pc: int, ins: Instruction) -> int:
         if self._flag_left == self._flag_right:
@@ -1434,15 +1144,6 @@ class CPU:
             return self._transfer(pc, TransferKind.BRANCH, ins.a)
         return pc + INSTRUCTION_SIZE
 
-    def _op_push(self, pc: int, ins: Instruction) -> int:
-        regs = self.registers
-        self._push(regs[ins.b] if ins.b_kind == _REG else ins.b, pc)
-        return pc + INSTRUCTION_SIZE
-
-    def _op_pop(self, pc: int, ins: Instruction) -> int:
-        self.registers[ins.a] = self._pop(pc)
-        return pc + INSTRUCTION_SIZE
-
     def _op_call(self, pc: int, ins: Instruction) -> int:
         self._push(pc + INSTRUCTION_SIZE, pc)
         return self._transfer(pc, TransferKind.CALL, ins.a)
@@ -1462,28 +1163,12 @@ class CPU:
         if self._lazy:
             # In-band activation pop marker (the call-push twin lives
             # in _transfer); appended after the return validated and
-            # announced, matching the eager on_return ordering.
+            # announced.
             self._obs_buffer.append(_OBS_RETURN_MARKER)
         return next_pc
 
-    def _op_enter(self, pc: int, ins: Instruction) -> int:
-        regs = self.registers
-        self._push(regs[Register.EBP], pc)
-        regs[Register.EBP] = regs[Register.ESP]
-        esp = regs[Register.ESP] - ins.a
-        if esp < self.memory.stack_base:
-            raise StackFault("stack overflow in enter", pc=pc)
-        regs[Register.ESP] = esp
-        return pc + INSTRUCTION_SIZE
-
-    def _op_leave(self, pc: int, ins: Instruction) -> int:
-        regs = self.registers
-        regs[Register.ESP] = regs[Register.EBP]
-        regs[Register.EBP] = self._pop(pc)
-        return pc + INSTRUCTION_SIZE
-
     def _op_alloc(self, pc: int, ins: Instruction) -> int:
-        size = self._operand_b(ins)
+        size = self.registers[ins.b] if ins.b_kind == _REG else ins.b
         address = self.heap.allocate(to_signed(size))
         self.set_register(Register.EAX, address)
         subscribers = self._allocs
@@ -1501,14 +1186,6 @@ class CPU:
                 hook.on_free(self, pc, address)
         return pc + INSTRUCTION_SIZE
 
-    def _op_out(self, pc: int, ins: Instruction) -> int:
-        self.output.append(self._operand_b(ins))
-        return pc + INSTRUCTION_SIZE
-
-    def _op_outb(self, pc: int, ins: Instruction) -> int:
-        self.output.append(self._operand_b(ins) & 0xFF)
-        return pc + INSTRUCTION_SIZE
-
     def _op_halt(self, pc: int, ins: Instruction) -> int:
         self.halted = True
         return pc + INSTRUCTION_SIZE
@@ -1516,33 +1193,9 @@ class CPU:
     def _op_nop(self, pc: int, ins: Instruction) -> int:
         return pc + INSTRUCTION_SIZE
 
-    def _op_invalid(self, pc: int,
-                    ins: Instruction) -> int:  # pragma: no cover
-        raise InvalidInstruction(f"unimplemented opcode {ins.opcode}",
-                                 pc=pc)
 
-
+#: Handlers for the opcodes that have no micro-op (see _MICRO_MAKERS).
 _HANDLERS = {
-    Opcode.MOV: CPU._op_mov,
-    Opcode.LOAD: CPU._op_load,
-    Opcode.LOADB: CPU._op_loadb,
-    Opcode.STORE: CPU._op_store,
-    Opcode.STOREB: CPU._op_storeb,
-    Opcode.LEA: CPU._op_lea,
-    Opcode.ADD: CPU._op_add,
-    Opcode.SUB: CPU._op_sub,
-    Opcode.MUL: CPU._op_mul,
-    Opcode.DIV: CPU._op_div,
-    Opcode.AND: CPU._op_and,
-    Opcode.OR: CPU._op_or,
-    Opcode.XOR: CPU._op_xor,
-    Opcode.SHL: CPU._op_shl,
-    Opcode.SHR: CPU._op_shr,
-    Opcode.SAR: CPU._op_sar,
-    Opcode.NEG: CPU._op_neg,
-    Opcode.NOT: CPU._op_not,
-    Opcode.CMP: CPU._op_cmp,
-    Opcode.TEST: CPU._op_test,
     Opcode.JMP: CPU._op_jmp,
     Opcode.JMPR: CPU._op_jmpr,
     Opcode.JE: CPU._op_je,
@@ -1553,39 +1206,30 @@ _HANDLERS = {
     Opcode.JGE: CPU._op_jge,
     Opcode.JB: CPU._op_jb,
     Opcode.JAE: CPU._op_jae,
-    Opcode.PUSH: CPU._op_push,
-    Opcode.POP: CPU._op_pop,
     Opcode.CALL: CPU._op_call,
     Opcode.CALLR: CPU._op_callr,
     Opcode.RET: CPU._op_ret,
-    Opcode.ENTER: CPU._op_enter,
-    Opcode.LEAVE: CPU._op_leave,
     Opcode.ALLOC: CPU._op_alloc,
     Opcode.FREE: CPU._op_free,
-    Opcode.OUT: CPU._op_out,
-    Opcode.OUTB: CPU._op_outb,
     Opcode.HALT: CPU._op_halt,
     Opcode.NOP: CPU._op_nop,
 }
 
-#: Opcode-indexed dispatch table. Entries for gaps in the opcode space
-#: raise InvalidInstruction (unreachable via fetch, which only yields
-#: successfully decoded instructions).
-_DISPATCH = [CPU._op_invalid] * (max(Opcode) + 1)
-for _opcode, _handler in _HANDLERS.items():
-    _DISPATCH[_opcode] = _handler
-del _opcode, _handler
-
 
 # ----------------------------------------------------------------------
-# Superblock compilation: fused superinstructions and pre-bound runs
+# Micro-ops: the one definition of every straight-line opcode
 # ----------------------------------------------------------------------
 #
 # A *micro-op* is a closure over one instruction's constants with the
-# signature ``micro(cpu, regs)``; it must not dispatch hook events, so a
-# fused stretch of micro-ops needs no per-instruction bookkeeping at
-# all.  ``_fuse`` packs a stretch into one superinstruction with the
-# ordinary handler signature, so compiled runs stay homogeneous.
+# signature ``micro(cpu, regs)``.  The threaded table wraps each pc's
+# micro-op into an ordinary handler (``_handler_for``), and the run
+# compiler packs stretches of them into superinstructions (``_fuse``),
+# so the stepper, the per-instruction path and fused runs all execute
+# the same closures.  A fusable micro-op must not dispatch hook events,
+# so a fused stretch needs no per-instruction bookkeeping at all; the
+# stores' barrier flavour does notify (``store_word``/``store_byte``),
+# so stores fuse only under the barrier-elision premise, in their
+# plain-write flavour (see ``_micro_for``).
 #
 # Micro-ops come in two families.  The ALU/MOV family is *non-raising*
 # and fuses unconditionally.  The memory/stack family (loads, pushes,
@@ -1850,34 +1494,49 @@ def _micro_loadb(ins):
     return micro
 
 
-def _micro_store(ins):
+def _micro_store(ins, pc=None):
+    """STORE.  Given its *pc*, the barrier flavour: the write goes
+    through ``CPU.store_word``, which notifies store subscribers.
+    Without one, the plain write, legal only under the barrier-elision
+    premise (no store subscriber) — the flavour that fuses."""
     base = ins.a
     src = ins.b
-    if base == ABSOLUTE_BASE:
-        address = ins.c & _MASK
-
+    disp = ins.c
+    address = disp & _MASK
+    if pc is not None:
+        if base == ABSOLUTE_BASE:
+            def micro(cpu, regs):
+                cpu.store_word(address, regs[src], pc)
+        else:
+            def micro(cpu, regs):
+                cpu.store_word((regs[base] + disp) & _MASK, regs[src], pc)
+    elif base == ABSOLUTE_BASE:
         def micro(cpu, regs):
             cpu.memory.write_word(address, regs[src])
     else:
-        disp = ins.c
-
         def micro(cpu, regs):
             cpu.memory.write_word((regs[base] + disp) & _MASK,
                                   regs[src])
     return micro
 
 
-def _micro_storeb(ins):
+def _micro_storeb(ins, pc=None):
+    """STOREB; flavours as for :func:`_micro_store`."""
     base = ins.a
     src = ins.b
-    if base == ABSOLUTE_BASE:
-        address = ins.c & _MASK
-
+    disp = ins.c
+    address = disp & _MASK
+    if pc is not None:
+        if base == ABSOLUTE_BASE:
+            def micro(cpu, regs):
+                cpu.store_byte(address, regs[src], pc)
+        else:
+            def micro(cpu, regs):
+                cpu.store_byte((regs[base] + disp) & _MASK, regs[src], pc)
+    elif base == ABSOLUTE_BASE:
         def micro(cpu, regs):
             cpu.memory.write_byte(address, regs[src])
     else:
-        disp = ins.c
-
         def micro(cpu, regs):
             cpu.memory.write_byte((regs[base] + disp) & _MASK,
                                   regs[src])
@@ -1935,8 +1594,9 @@ def _micro_pop(ins, pc):
         memory = cpu.memory
         if esp + WORD_SIZE > memory.stack_top:
             raise StackFault("stack underflow", pc=pc)
-        regs[a] = memory.read_word(esp)
+        value = memory.read_word(esp)
         regs[_ESP_] = esp + WORD_SIZE
+        regs[a] = value  # after the increment: POP ESP loads ESP
     return micro
 
 
@@ -1987,8 +1647,9 @@ def _micro_div(ins, pc):
     return micro
 
 
-#: Always-fusable micro-ops (no hook events; faults carry the same
-#: message/pc the plain handler would raise).
+#: The micro-op maker of every straight-line opcode — the only
+#: definition of its semantics.  Faults carry the message and pc the
+#: stepper reports.  The remaining opcodes have ``_HANDLERS`` entries.
 _MICRO_MAKERS = {
     Opcode.MOV: _micro_mov,
     Opcode.ADD: _micro_add,
@@ -2007,6 +1668,8 @@ _MICRO_MAKERS = {
     Opcode.LEA: _micro_lea,
     Opcode.LOAD: _micro_load,
     Opcode.LOADB: _micro_loadb,
+    Opcode.STORE: _micro_store,
+    Opcode.STOREB: _micro_storeb,
     Opcode.OUT: _micro_out,
     Opcode.OUTB: _micro_outb,
     Opcode.PUSH: _micro_push,
@@ -2016,15 +1679,8 @@ _MICRO_MAKERS = {
     Opcode.DIV: _micro_div,
 }
 
-#: Additionally fusable when the barrier-elision premise holds (no
-#: store subscriber): the store handlers dispatch no events, so whole
-#: loop bodies collapse into one guarded closure.
-_MICRO_MAKERS_ELIDED = dict(_MICRO_MAKERS)
-_MICRO_MAKERS_ELIDED[Opcode.STORE] = _micro_store
-_MICRO_MAKERS_ELIDED[Opcode.STOREB] = _micro_storeb
-
 #: Micro-ops whose makers bind the instruction's pc (their faults must
-#: carry the exact message the plain handler raises).
+#: carry the exact pc the stepper reports).
 _PC_BOUND_MICROS = frozenset({
     Opcode.PUSH, Opcode.POP, Opcode.ENTER, Opcode.LEAVE, Opcode.DIV,
 })
@@ -2045,12 +1701,16 @@ _RAISING_MICROS = frozenset({
 _MICRO_CACHE: dict[Instruction, object] = {}
 
 
-def _micro_for(ins_pc: int, instruction: Instruction, makers: dict):
-    """The micro-op for *instruction*, or None if unfusable under
-    *makers* (the elision-mode maker table)."""
+def _micro_for(ins_pc: int, instruction: Instruction, elide: bool):
+    """The fusable micro-op for *instruction*, or None.
+
+    The fusion rule: every opcode with a maker fuses, except the
+    segment barriers (stores) while the barrier-elision premise
+    (*elide*) does not hold — a barrier store runs alone through its
+    threaded handler, which notifies store subscribers."""
     opcode = instruction.opcode
-    maker = makers.get(opcode)
-    if maker is None:
+    maker = _MICRO_MAKERS.get(opcode)
+    if maker is None or (not elide and opcode in _SEGMENT_BARRIERS):
         return None
     if opcode in _PC_BOUND_MICROS:
         return maker(instruction, ins_pc)
@@ -2058,6 +1718,29 @@ def _micro_for(ins_pc: int, instruction: Instruction, makers: dict):
     if micro is None:
         micro = _MICRO_CACHE[instruction] = maker(instruction)
     return micro
+
+
+def _handler_for(pc: int, instruction: Instruction):
+    """The threaded-table handler for the instruction at *pc*.
+
+    A straight-line opcode's handler is its micro-op wrapped in the
+    handler signature, with the fall-through pc pre-bound; stores take
+    their barrier flavour, so the handler is right under every plan.
+    Every other opcode dispatches to its ``_HANDLERS`` entry."""
+    opcode = instruction.opcode
+    maker = _MICRO_MAKERS.get(opcode)
+    if maker is None:
+        return _HANDLERS[opcode]
+    if opcode in _SEGMENT_BARRIERS:
+        micro = maker(instruction, pc)
+    else:
+        micro = _micro_for(pc, instruction, True)
+    next_pc = pc + INSTRUCTION_SIZE
+
+    def handler(cpu, _pc, _ins):
+        micro(cpu, cpu.registers)
+        return next_pc
+    return handler
 
 
 def _micro_extract(extractor):
@@ -2116,11 +1799,15 @@ def _split_segments(items: list, barriers: frozenset) -> list[list]:
     return segments
 
 
-def _compile_ops(segment: list, makers: dict, extractors: dict) -> tuple:
+def _compile_ops(segment: list, code: dict, elide: bool,
+                 extractors: dict) -> tuple:
     """Pre-bind one segment into ``(handler, pc, instruction)`` triples,
-    fusing maximal stretches of two or more micro-ops.  A stretch with
-    any raising micro-op compiles into the guarded superinstruction
-    flavour; pure ALU/MOV stretches keep the unguarded fast one.
+    fusing maximal stretches of two or more micro-ops (which opcodes
+    fuse under the *elide* premise is :func:`_micro_for`'s rule).  An
+    instruction left alone runs its threaded handler from *code*.  A
+    stretch with any raising micro-op compiles into the guarded
+    superinstruction flavour; pure ALU/MOV stretches keep the unguarded
+    fast one.
 
     *extractors* maps the segment's observed pcs to their extractors
     (empty for a bare run).  Each observed instruction is preceded by
@@ -2136,7 +1823,7 @@ def _compile_ops(segment: list, makers: dict, extractors: dict) -> tuple:
     def close_stretch():
         if len(stretch) == 1 and stretch[0][1] is not None:
             ins_pc, ins, _ = stretch[0]
-            ops.append((_DISPATCH[ins.opcode], ins_pc, ins))
+            ops.append((code[ins_pc][0], ins_pc, ins))
         elif stretch:
             start = stretch[0][0]
             micros = tuple(micro for _, _, micro in stretch)
@@ -2155,11 +1842,11 @@ def _compile_ops(segment: list, makers: dict, extractors: dict) -> tuple:
         extractor = extractors.get(ins_pc)
         if extractor is not None:
             stretch.append((ins_pc, None, _micro_extract(extractor)))
-        micro = _micro_for(ins_pc, ins, makers)
+        micro = _micro_for(ins_pc, ins, elide)
         if micro is not None:
             stretch.append((ins_pc, ins, micro))
         else:
             close_stretch()
-            ops.append((_DISPATCH[ins.opcode], ins_pc, ins))
+            ops.append((code[ins_pc][0], ins_pc, ins))
     close_stretch()
     return tuple(ops)

@@ -76,16 +76,11 @@ class ExecutionHook:
 
     Subscriptions are inferred: a subclass receives exactly the events
     whose methods it overrides.  Overriding nothing (and leaving
-    ``wants_operands`` False) makes registration free at run time.
+    ``lazy_operands`` False) makes registration free at run time.
     """
 
-    #: Set True to make the CPU build :class:`OperandObservation` records
-    #: (which costs time — the paper's learning overhead) and deliver them
-    #: to :meth:`on_operands`.
-    wants_operands = False
-
-    #: Set True to receive *batched* raw operand snapshots instead of
-    #: per-instruction :class:`OperandObservation` records: the CPU
+    #: Set True to receive batched raw operand snapshots — the only
+    #: operand intake, and the paper's learning overhead: the CPU
     #: appends one flat tuple per traced instruction to a ring buffer and
     #: delivers it via :meth:`on_operand_batch` when the buffer fills
     #: (and at run exit / hook attach/detach).  Batched observation
@@ -98,13 +93,6 @@ class ExecutionHook:
     #: differently-filtered peers must still re-filter inside
     #: :meth:`on_operand_batch` (as the trace front end does).
     lazy_operands = False
-
-    #: Method names (e.g. ``"on_transfer"``) this hook overrides but
-    #: does not want event-routed.  Lets a batched front end keep its
-    #: live callbacks for the legacy mode while staying entirely out of
-    #: the hot dispatch lists when the same information arrives in-band
-    #: (activation markers in the operand batch).
-    suppressed_events: tuple = ()
 
     #: Set True for hooks whose ``before_instruction``/``after_instruction``
     #: interest is confined to specific addresses.  Anchored hooks are kept
@@ -127,10 +115,6 @@ class ExecutionHook:
     def after_instruction(self, cpu: "CPU", pc: int,
                           instruction: Instruction) -> None:
         """Called after the instruction's effects are applied."""
-
-    def on_operands(self, cpu: "CPU",
-                    observation: OperandObservation) -> None:
-        """Receives the per-instruction trace record when enabled."""
 
     def observes(self, pc: int) -> bool:
         """Whether a ``lazy_operands`` hook wants snapshots at *pc*.
@@ -197,11 +181,9 @@ class ExecutionHook:
         """Called after a heap free."""
 
 
-#: (method name, HookBus list attribute) for every routed event.  The
-#: ``on_operands`` event is intentionally absent: its subscription is
-#: governed by :attr:`ExecutionHook.wants_operands`, not by overriding,
-#: because building the observation is the expensive part and the CPU
-#: must know whether to build it at all.
+#: (method name, HookBus list attribute) for every routed event.  Batched
+#: operand delivery is absent: its subscription is governed by
+#: :attr:`ExecutionHook.lazy_operands`, not by overriding.
 _EVENT_ROUTES = (
     ("before_instruction", "before"),
     ("after_instruction", "after"),
@@ -247,7 +229,6 @@ class HookBus:
         self.anchor_version = 0
         self.before: list[ExecutionHook] = []
         self.after: list[ExecutionHook] = []
-        self.operands: list[ExecutionHook] = []
         self.lazy_operands: list[ExecutionHook] = []
         self.store: list[ExecutionHook] = []
         self.transfer: list[ExecutionHook] = []
@@ -270,16 +251,11 @@ class HookBus:
         self.hooks.append(hook)
         base = ExecutionHook
         cls = type(hook)
-        suppressed = hook.suppressed_events
         for method, event in _EVENT_ROUTES:
             if hook.pc_anchored and event in ("before", "after"):
                 continue  # routed per-pc via anchor()
-            if method in suppressed:
-                continue  # overridden for another intake mode only
             if getattr(cls, method) is not getattr(base, method):
                 getattr(self, event).append(hook)
-        if hook.wants_operands:
-            self.operands.append(hook)
         if hook.lazy_operands:
             self.lazy_operands.append(hook)
         self.version += 1
@@ -293,8 +269,6 @@ class HookBus:
             subscribers = getattr(self, event)
             if hook in subscribers:
                 subscribers.remove(hook)
-        if hook in self.operands:
-            self.operands.remove(hook)
         if hook in self.lazy_operands:
             self.lazy_operands.remove(hook)
         if hook.pc_anchored:

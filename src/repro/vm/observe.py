@@ -1,26 +1,25 @@
-"""Compiled operand extraction: the raw feed for batched learning.
+"""Compiled operand extraction: the one source of observed operands.
 
-:meth:`repro.vm.cpu.CPU.observe_operands` builds a dict-shaped
-:class:`~repro.vm.hooks.OperandObservation` per instruction — convenient,
-but far too slow to pay on every instruction of a learning run.  This
-module is its compiled twin: :func:`operand_layout` names the slots an
-opcode observes (a pure function of the decoded instruction), and
-:func:`build_extractor` compiles, per pc, a closure that snapshots
-exactly those values into one flat tuple ``(pc, value..., esp)`` with all
-instruction constants pre-bound.  The machine state is *not* pre-bound:
-an extractor takes ``(registers, memory)`` at call time, so one compiled
-extractor serves every CPU ever launched on the binary (they are shared
-per image via ``Binary._extractor_cache``, like superblock runs).
+:func:`operand_layout` names the slots an opcode observes (a pure
+function of the decoded instruction), and :func:`build_extractor`
+compiles, per pc, a closure that snapshots exactly those values into one
+flat tuple ``(pc, value..., esp)`` with all instruction constants
+pre-bound.  The machine state is *not* pre-bound: an extractor takes
+``(registers, memory)`` at call time, so one compiled extractor serves
+every CPU ever launched on the binary (:func:`shared_extractor` keeps
+them per image in ``Binary._extractor_cache``, like superblock runs).
 
-The two representations are interconvertible:
-:func:`observation_from_record` rebuilds the dict form from a record, and
-``tests/test_lazy_observation.py`` pins extractor output against
-``observe_operands`` across every opcode, so the batched learning path
-and the per-instruction path observe byte-identical data.
+Every consumer reads these records: batched learning digests them,
+patch checks read one slot of a fresh record (:func:`slot_index`), and
+:meth:`repro.vm.cpu.CPU.observe_operands` rebuilds the dict-shaped
+:class:`~repro.vm.hooks.OperandObservation` from one
+(:func:`observation_from_record`).  ``tests/test_lazy_observation.py``
+pins the records against the pre-state and the post-state ``step()``
+produces.
 
 Conditional slots (a faulting load's ``value``, ``value``/``target`` on
-an empty stack) carry ``None`` in the record, mirroring their absence
-from the dict form.
+an empty stack) carry ``None`` in the record and are absent from the
+dict form.
 """
 
 from __future__ import annotations
@@ -52,8 +51,9 @@ _BINARY_ALU = (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV,
                Opcode.AND, Opcode.OR, Opcode.XOR,
                Opcode.SHL, Opcode.SHR, Opcode.SAR)
 
-#: The value a binary ALU instruction computes (pre-state function);
-#: mirrors ``CPU._alu_result`` exactly.
+#: The value a binary ALU instruction computes (pre-state function) —
+#: the pure-function spec extractors and ``analysis/constprop.py`` share;
+#: the executed semantics are the CPU's micro-ops.
 _ALU_FUNCS = {
     Opcode.ADD: lambda left, right: (left + right) & WORD_MASK,
     Opcode.SUB: lambda left, right: (left - right) & WORD_MASK,
@@ -111,6 +111,15 @@ def operand_layout(
     return (), ()
 
 
+def slot_index(instruction: Instruction, slot: str) -> int | None:
+    """The record position of *slot* in *instruction*'s extractor
+    records, or None when the opcode observes no such slot."""
+    names = operand_layout(instruction)[0] + ("esp",)
+    if slot not in names:
+        return None
+    return names.index(slot) + 1
+
+
 def observation_from_record(instruction: Instruction,
                             record: tuple) -> OperandObservation:
     """Rebuild the dict-shaped observation an extractor record encodes."""
@@ -125,13 +134,25 @@ def observation_from_record(instruction: Instruction,
                               computed=computed)
 
 
+def shared_extractor(binary, pc: int, instruction: Instruction):
+    """*binary*'s compiled extractor for the instruction at *pc*,
+    compiled on first use and shared by every CPU on the image."""
+    shared = binary._extractor_cache
+    if shared is None:
+        shared = binary._extractor_cache = {}
+    extractor = shared.get(pc)
+    if extractor is None:
+        extractor = shared[pc] = build_extractor(pc, instruction)
+    return extractor
+
+
 def build_extractor(pc: int, instruction: Instruction):
     """Compile a snapshot closure for the instruction at *pc*.
 
     The closure has the signature ``extract(regs, memory)``: it reads
     the machine state it is handed and returns ``(pc, value..., esp)``
     per :func:`operand_layout`; it never raises (conditional slots
-    degrade to ``None``, like ``observe_operands``).  Binding no CPU
+    degrade to ``None``).  Binding no CPU
     state makes the compiled form a pure function of the immutable
     image, shareable across every CPU on the binary.
     """

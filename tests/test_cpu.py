@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dynamo.code_cache import CodeCache
 from repro.errors import (
     CodeInjectionExecuted,
     DivisionByZero,
@@ -298,12 +299,16 @@ class TestOperandObservation:
         cpu.step()
         assert cpu.registers[Register.EAX] == 7
 
-    @settings(max_examples=60)
-    @given(op=st.sampled_from(["add", "sub", "mul", "and", "or", "xor"]),
+    @settings(max_examples=120)
+    @given(op=st.sampled_from(["add", "sub", "mul", "div", "and", "or",
+                               "xor", "shl", "shr", "sar", "neg", "not"]),
            left=st.integers(min_value=0, max_value=0xFFFFFFFF),
            right=st.integers(min_value=0, max_value=0xFFFFFFFF))
     def test_observed_dst_matches_execution(self, op, left, right):
-        cpu = CPU(assemble(f"mov eax, {left}\n{op} eax, {right}\nhalt"))
+        if op == "div":
+            right = right or 1
+        operand = "" if op in ("neg", "not") else f", {right}"
+        cpu = CPU(assemble(f"mov eax, {left}\n{op} eax{operand}\nhalt"))
         cpu.step()
         observation = cpu.observe_operands(cpu.pc, cpu.fetch(cpu.pc))
         cpu.step()
@@ -322,3 +327,210 @@ class TestOperandObservation:
         observation = cpu.observe_operands(cpu.pc, cpu.fetch(cpu.pc))
         assert observation.slots["target"] == cpu.binary.symbols["f"]
         assert observation.computed == ("target",)
+
+
+# ----------------------------------------------------------------------
+# Literal per-opcode semantics
+# ----------------------------------------------------------------------
+
+STACK_BASE = 0x150000
+STACK_TOP = 0x160000
+
+#: (case id, setup lines, instruction under test, expected post-state).
+#: Expected keys: register names, ``flags`` (left, right), ``mem``
+#: (address -> word), ``out`` (output list), and ``fault`` (exception
+#: type, message) for a case whose instruction must fault.
+SEMANTICS = [
+    ("mov-reg", "mov ebx, 7", "mov eax, ebx", {"eax": 7}),
+    ("mov-imm", "", "mov eax, -1", {"eax": 0xFFFFFFFF}),
+    ("add-reg", "mov eax, 0xFFFFFFFF\nmov ebx, 2", "add eax, ebx",
+     {"eax": 1}),
+    ("add-imm", "mov eax, 5", "add eax, 7", {"eax": 12}),
+    ("sub-reg", "mov eax, 1\nmov ebx, 2", "sub eax, ebx",
+     {"eax": 0xFFFFFFFF}),
+    ("sub-imm", "mov eax, 10", "sub eax, 3", {"eax": 7}),
+    ("mul-reg", "mov eax, 0x10000\nmov ebx, 0x10001", "mul eax, ebx",
+     {"eax": 0x10000}),
+    ("mul-imm", "mov eax, 6", "mul eax, 7", {"eax": 42}),
+    ("div-reg", "mov eax, 43\nmov ebx, 5", "div eax, ebx", {"eax": 8}),
+    ("div-imm-unsigned", "mov eax, 0xFFFFFFFF", "div eax, 2",
+     {"eax": 0x7FFFFFFF}),
+    ("and-reg", "mov eax, 0xF0F0\nmov ebx, 0xFF00", "and eax, ebx",
+     {"eax": 0xF000}),
+    ("and-imm", "mov eax, 0xF0F0", "and eax, 0x0FF0", {"eax": 0x00F0}),
+    ("or-reg", "mov eax, 0xF0\nmov ebx, 0x0F", "or eax, ebx",
+     {"eax": 0xFF}),
+    ("or-imm", "mov eax, 0x100", "or eax, 1", {"eax": 0x101}),
+    ("xor-reg", "mov eax, 0xFF\nmov ebx, 0x0F", "xor eax, ebx",
+     {"eax": 0xF0}),
+    ("xor-imm", "mov eax, 0", "xor eax, -1", {"eax": 0xFFFFFFFF}),
+    ("shl-reg-masked", "mov eax, 1\nmov ebx, 33", "shl eax, ebx",
+     {"eax": 2}),
+    ("shl-imm-overflow", "mov eax, 0x80000001", "shl eax, 1",
+     {"eax": 2}),
+    ("shr-reg-masked", "mov eax, 0x80000000\nmov ebx, 63", "shr eax, ebx",
+     {"eax": 1}),
+    ("shr-imm-masked", "mov eax, 0x80000000", "shr eax, 32",
+     {"eax": 0x80000000}),
+    ("sar-reg-negative", "mov eax, 0x80000000\nmov ebx, 4",
+     "sar eax, ebx", {"eax": 0xF8000000}),
+    ("sar-imm-negative", "mov eax, -8", "sar eax, 1",
+     {"eax": 0xFFFFFFFC}),
+    ("sar-imm-positive", "mov eax, 0x7FFFFFFF", "sar eax, 30", {"eax": 1}),
+    ("sar-reg-masked", "mov eax, -1\nmov ebx, 32", "sar eax, ebx",
+     {"eax": 0xFFFFFFFF}),
+    ("neg", "mov eax, 5", "neg eax", {"eax": 0xFFFFFFFB}),
+    ("neg-int-min", "mov eax, 0x80000000", "neg eax", {"eax": 0x80000000}),
+    ("neg-zero", "mov eax, 0", "neg eax", {"eax": 0}),
+    ("not", "mov eax, 0x0F", "not eax", {"eax": 0xFFFFFFF0}),
+    ("cmp-reg", "mov eax, 3\nmov ebx, -1", "cmp eax, ebx",
+     {"flags": (3, 0xFFFFFFFF)}),
+    ("cmp-imm", "mov eax, 3", "cmp eax, -1", {"flags": (3, 0xFFFFFFFF)}),
+    ("test-reg", "mov eax, 6\nmov ebx, 3", "test eax, ebx",
+     {"flags": (2, 0)}),
+    ("test-imm", "mov eax, 6", "test eax, 4", {"flags": (4, 0)}),
+    ("lea-abs", "", "lea eax, [0x100010]", {"eax": 0x100010}),
+    ("lea-base", "mov ebx, 0x100010", "lea eax, [ebx-16]",
+     {"eax": 0x100000}),
+    ("load-abs", "mov ebx, 0x11223344\nstore [0x100000], ebx",
+     "load eax, [0x100000]", {"eax": 0x11223344}),
+    ("load-base", "mov ebx, 0x11223344\nstore [0x100004], ebx\n"
+     "mov ecx, 0x100000", "load eax, [ecx+4]", {"eax": 0x11223344}),
+    ("loadb-abs", "mov ebx, 0x11223344\nstore [0x100000], ebx",
+     "loadb eax, [0x100001]", {"eax": 0x33}),
+    ("loadb-base", "mov ebx, 0x11223344\nstore [0x100004], ebx\n"
+     "mov ecx, 0x100000", "loadb eax, [ecx+7]", {"eax": 0x11}),
+    ("store-abs", "mov ebx, 0xDEADBEEF", "store [0x100008], ebx",
+     {"mem": {0x100008: 0xDEADBEEF}}),
+    ("store-base", "mov ebx, 0xDEADBEEF\nmov ecx, 0x100010",
+     "store [ecx-8], ebx", {"mem": {0x100008: 0xDEADBEEF}}),
+    ("storeb-abs", "mov ebx, 0x1FF", "storeb [0x100009], ebx",
+     {"mem": {0x100008: 0xFF00}}),
+    ("storeb-base", "mov ebx, 0xABCD\nmov ecx, 0x100008",
+     "storeb [ecx+2], ebx", {"mem": {0x100008: 0xCD0000}}),
+    ("push-reg", "mov ebx, 9", "push ebx",
+     {"esp": STACK_TOP - 4, "mem": {STACK_TOP - 4: 9}}),
+    ("push-imm", "", "push 77",
+     {"esp": STACK_TOP - 4, "mem": {STACK_TOP - 4: 77}}),
+    ("pop", "mov ebx, 5\npush ebx", "pop eax",
+     {"eax": 5, "esp": STACK_TOP}),
+    ("pop-esp", "mov ebx, 0x158000\npush ebx", "pop esp",
+     {"esp": 0x158000}),
+    ("enter", "mov ebp, 0x1234", "enter 16",
+     {"ebp": STACK_TOP - 4, "esp": STACK_TOP - 20,
+      "mem": {STACK_TOP - 4: 0x1234}}),
+    ("leave", "mov ebx, 0x1234\npush ebx\nmov ebp, esp", "leave",
+     {"ebp": 0x1234, "esp": STACK_TOP}),
+    ("out-reg", "mov ebx, 0x1FF", "out ebx", {"out": [0x1FF]}),
+    ("out-imm", "", "out 300", {"out": [300]}),
+    ("outb-reg", "mov ebx, 0x1FF", "outb ebx", {"out": [0xFF]}),
+    ("outb-imm", "", "outb 0x1AB", {"out": [0xAB]}),
+    ("div-zero-reg", "mov eax, 1\nmov ebx, 0", "div eax, ebx",
+     {"eax": 1, "fault": (DivisionByZero, "division by zero")}),
+    ("div-zero-imm", "mov eax, 1", "div eax, 0",
+     {"eax": 1, "fault": (DivisionByZero, "division by zero")}),
+    ("push-overflow", f"mov esp, {STACK_BASE:#x}", "push eax",
+     {"esp": STACK_BASE, "fault": (StackFault, "stack overflow")}),
+    ("enter-overflow-push", f"mov esp, {STACK_BASE:#x}", "enter 8",
+     {"esp": STACK_BASE, "fault": (StackFault, "stack overflow")}),
+    ("enter-overflow-frame", f"mov esp, {STACK_BASE + 4:#x}", "enter 8",
+     {"ebp": STACK_BASE, "esp": STACK_BASE,
+      "fault": (StackFault, "stack overflow in enter")}),
+    ("pop-underflow", "", "pop eax",
+     {"esp": STACK_TOP, "fault": (StackFault, "stack underflow")}),
+    ("leave-underflow", f"mov ebp, {STACK_TOP:#x}", "leave",
+     {"esp": STACK_TOP, "fault": (StackFault, "stack underflow")}),
+]
+
+
+class _StoreListener(ExecutionHook):
+    """Subscribes to stores, which restores the store barriers."""
+
+    def __init__(self):
+        self.stores = []
+
+    def on_store(self, cpu, pc, address, size, value, old_value):
+        self.stores.append((pc, address, size, value))
+
+
+def _fused_pcs(cpu: CPU) -> set[int]:
+    """Instruction addresses that ran inside fused superinstructions of
+    *cpu*'s compiled runs."""
+    covered = set()
+    for segments, _ in cpu._compiled.values():
+        for ops, count, _ in segments:
+            end = ops[0][1] + count * INSTRUCTION_SIZE
+            bounds = [op[1] for op in ops[1:]] + [end]
+            for (_, start, ins), stop in zip(ops, bounds):
+                if ins is None:
+                    covered.update(range(start, stop, INSTRUCTION_SIZE))
+    return covered
+
+
+class TestLiteralSemantics:
+    """Every straight-line opcode in every operand form, against literal
+    post-states, through ``step()`` and through compiled runs.  The
+    compiled-vs-step differentials cannot catch an arithmetic slip that
+    both share, since both run the same micro-ops; these cases can."""
+
+    @pytest.mark.parametrize("mode", ["step", "fused", "barrier"])
+    @pytest.mark.parametrize("case", SEMANTICS, ids=[c[0] for c in SEMANTICS])
+    def test_post_state(self, case, mode):
+        _, setup, instruction, expected = case
+        # A leading MOV gives every instruction under test a stretch
+        # partner, so compiled runs fuse it.
+        binary = assemble(f"mov edi, 1\n{setup}\nunder_test:\n"
+                          f"{instruction}\nhalt")
+        test_pc = binary.symbols["under_test"]
+        cpu = CPU(binary)
+        listener = _StoreListener()
+        if mode != "step":
+            cpu.add_hook(CodeCache(binary))
+        if mode == "barrier":
+            cpu.add_hook(listener)
+        fault = None
+        try:
+            if mode == "step":
+                while not cpu.halted:
+                    cpu.step()
+            else:
+                cpu.run()
+        except (DivisionByZero, StackFault) as error:
+            fault = error
+
+        if "fault" in expected:
+            kind, message = expected["fault"]
+            assert type(fault) is kind
+            assert fault.pc == test_pc
+            assert str(fault) == f"[pc={test_pc:#x}] {message}"
+            assert cpu.pc == test_pc
+            assert not cpu.halted
+        else:
+            assert fault is None
+            assert cpu.halted
+        for name in ("eax", "ebx", "ecx", "edx", "ebp", "esp"):
+            if name in expected:
+                assert cpu.registers[Register[name.upper()]] == \
+                    expected[name], name
+        if "flags" in expected:
+            assert (cpu._flag_left, cpu._flag_right) == expected["flags"]
+        for address, word in expected.get("mem", {}).items():
+            assert cpu.memory.read_word(address) == word
+        assert cpu.output == expected.get("out", [])
+        if mode == "fused":
+            assert test_pc in _fused_pcs(cpu)
+        if mode == "barrier" and instruction.startswith("store"):
+            assert test_pc not in _fused_pcs(cpu)
+            assert listener.stores[-1][0] == test_pc
+
+
+class TestOneDefinitionPerOpcode:
+    def test_no_opcode_has_two_definitions(self):
+        """Every opcode is defined exactly once: as a micro-op maker
+        (straight-line code) or as an ``_op_*`` handler (the rest)."""
+        from repro.vm.cpu import _HANDLERS, _MICRO_MAKERS
+
+        assert not set(_HANDLERS) & set(_MICRO_MAKERS)
+        assert set(_HANDLERS) | set(_MICRO_MAKERS) == set(Opcode)
+        for opcode in _MICRO_MAKERS:
+            assert not hasattr(CPU, f"_op_{opcode.name.lower()}"), opcode

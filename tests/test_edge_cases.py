@@ -102,24 +102,6 @@ class TestVMEdgeCases:
         cpu.run()
         assert Counter.count == 1
 
-    def test_operand_hook_registration(self):
-        from repro.vm import ExecutionHook
-
-        class Wants(ExecutionHook):
-            wants_operands = True
-            seen = 0
-
-            def on_operands(self, cpu, observation):
-                Wants.seen += 1
-
-        cpu = CPU(assemble("mov eax, 1\nhalt"))
-        hook = Wants()
-        cpu.add_hook(hook)
-        cpu.run()
-        assert Wants.seen == 2
-        cpu.remove_hook(hook)
-        assert cpu._operand_hooks == []
-
 
 class TestHeapEdgeCases:
     def test_free_list_prefers_most_recent(self):

@@ -64,7 +64,7 @@ class TestHookBusRouting:
         cpu.add_hook(ExecutionHook())
         bus = cpu.bus
         assert not bus.before and not bus.after and not bus.transfer
-        assert not bus.store and not bus.operands
+        assert not bus.store and not bus.lazy_operands
 
     def test_patch_manager_anchors_follow_patch_set(self):
         cpu = CPU(assemble("nop\nnop\nhalt"))

@@ -298,24 +298,34 @@ class TestSoundness:
 
         from repro.dynamo import ManagedEnvironment
         from repro.vm.hooks import ExecutionHook
+        from repro.vm.observe import observation_from_record
 
         failures = []
+        checked = []
 
         class Verifier(ExecutionHook):
-            wants_operands = True
+            lazy_operands = True
 
-            def on_operands(self, cpu, observation):
-                for slot, value in observation.slots.items():
-                    variable = Variable(observation.pc, slot)
-                    for invariant in database.invariants_at(
-                            observation.pc):
-                        if isinstance(invariant, (OneOf, LowerBound)) \
-                                and invariant.variables() == (variable,):
-                            if not invariant.holds({variable: value}):
-                                failures.append((invariant, value))
+            def on_operand_batch(self, cpu, records):
+                for record in records:
+                    if record[0] is None:
+                        continue  # activation marker
+                    observation = observation_from_record(
+                        cpu.fetch(record[0]), record)
+                    checked.append(observation.pc)
+                    for slot, value in observation.slots.items():
+                        variable = Variable(observation.pc, slot)
+                        for invariant in database.invariants_at(
+                                observation.pc):
+                            if isinstance(invariant,
+                                          (OneOf, LowerBound)) and \
+                                    invariant.variables() == (variable,):
+                                if not invariant.holds({variable: value}):
+                                    failures.append((invariant, value))
 
         environment = ManagedEnvironment(assemble(COUNTER))
         environment.extra_hooks.append(Verifier())
         for payload in payloads:
             environment.run(payload)
+        assert checked
         assert not failures

@@ -1,18 +1,20 @@
-"""Tests for batched (lazy) operand observation.
+"""Tests for batched (lazy) operand observation, the only operand intake.
 
-The contract: the batched kernel-level path — compiled extractors, ring
-buffer, per-pc engine digest plans — must produce an invariant database
-*equal* to the per-instruction callback path: same invariants, same
-sample counts.  These tests pin that equality on the real WebBrowse
-workload (full and partial tracing), pin compiled learning against
-learning forced through ``CPU.step()`` on both apps, pin extractor
-records against ``CPU.observe_operands`` across the opcode space, and
-cover the mixed case where a granular hook forces the step loop while a
-batched front end rides along.
+The contract: the kernel-level path — compiled extractors, ring buffer,
+per-pc engine digest plans — learns exactly the databases pinned below
+as golden digests (frozen when an independent per-instruction intake
+still existed and agreed with this path), learning through compiled
+runs equals learning forced through ``CPU.step()`` on both apps, and
+extractor records match the pre-state and the post-state ``step()``
+produces across the opcode space.  The mixed case, where a granular
+hook forces the step loop while the front end rides along, is covered
+too.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 
 import pytest
@@ -29,8 +31,15 @@ from repro.learning.harness import learn
 from repro.learning.inference import InferenceEngine
 from repro.learning.traces import TraceFrontEnd
 from repro.vm import CPU, assemble
+from repro.vm.assembler import ABSOLUTE_BASE
+from repro.vm.isa import (
+    INSTRUCTION_SIZE,
+    WORD_MASK,
+    Opcode,
+    OperandKind,
+    Register,
+)
 from repro.vm.hooks import ExecutionHook
-from repro.vm.isa import INSTRUCTION_SIZE, Register
 from repro.vm.observe import (
     build_extractor,
     observation_from_record,
@@ -45,6 +54,11 @@ def _canonical(database):
     return invariants, payload["samples"]
 
 
+def _digest(database) -> str:
+    text = json.dumps(_canonical(database), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class _NoOpBefore(ExecutionHook):
     """Forces the full step loop without changing any behaviour."""
 
@@ -52,34 +66,69 @@ class _NoOpBefore(ExecutionHook):
         return None
 
 
-class TestDatabaseEquality:
-    def test_batched_equals_per_instruction_on_webbrowse(self, browser):
-        """The satellite acceptance test: same invariants, same sample
-        counts, batched vs per-instruction, on the paper's workload."""
-        pages = evaluation_pages()[:8]
-        fast = learn(browser, pages, batched=True)
-        slow = learn(browser, pages, batched=False)
-        assert fast.observations == slow.observations
-        assert _canonical(fast.database) == _canonical(slow.database)
+LEARNING_APPS = {
+    "browser": (build_browser, learning_pages),
+    "mailserver": (build_mailserver, normal_messages),
+}
 
-    def test_partial_tracing_equality(self, browser):
-        """CPU-level filtering (batched) must trace exactly what the
-        front-end-level filter (legacy) traces."""
-        reachable = discover_all_reachable(browser.stripped())
-        entries = reachable.entries()
-        assert len(entries) >= 2
-        traced = set(entries[::2])  # every other procedure
-        pages = evaluation_pages()[:5]
-        fast = learn(browser, pages, traced_procedures=traced,
-                     batched=True)
-        slow = learn(browser, pages, traced_procedures=traced,
-                     batched=False)
-        assert fast.observations == slow.observations
-        assert _canonical(fast.database) == _canonical(slow.database)
+#: sha256 of ``_canonical(database)`` and the observation count, per
+#: (app, mode), learned from the app's normal workload.  Frozen from a
+#: tree where the per-instruction dict intake still existed and learned
+#: the same databases, and stable across ``PYTHONHASHSEED`` values.
+#: Pruning reconstructs the full database from fewer records.
+GOLDEN = {
+    ("browser", "full"): (
+        "bbfa842080e2078759cb8145e30aa211a38fa0f30ef17f65aba02c256d11a347",
+        17707),
+    ("browser", "partial"): (
+        "e1730ab83ccd742d0ae794c2a63828d6435a0541ba4268cc7a77688729adef35",
+        2280),
+    ("browser", "prune"): (
+        "bbfa842080e2078759cb8145e30aa211a38fa0f30ef17f65aba02c256d11a347",
+        15483),
+    ("mailserver", "full"): (
+        "505ece78bc6543eae2852f22bcf5bdcfb5b7e3ddf7da17deade52a005bce3173",
+        6547),
+    ("mailserver", "partial"): (
+        "fecb60ad6b4c9674eccebdf5653356262d0b425b2c91d45f40fabccc89cf1ef8",
+        20),
+    ("mailserver", "prune"): (
+        "505ece78bc6543eae2852f22bcf5bdcfb5b7e3ddf7da17deade52a005bce3173",
+        5436),
+}
 
-    def test_step_loop_feeds_batched_front_end(self, browser):
-        """A granular hook forces the full step loop; the batched front
-        end must still observe everything, identically."""
+
+def _options(binary, mode: str) -> dict:
+    if mode == "partial":
+        entries = discover_all_reachable(binary).entries()
+        return {"traced_procedures": set(entries[::2])}
+    if mode == "prune":
+        return {"prune": True}
+    return {}
+
+
+@functools.lru_cache(maxsize=None)
+def _learned(app: str, mode: str):
+    """``learn()`` through the compiled runs, once per (app, mode)."""
+    build, workload = LEARNING_APPS[app]
+    binary = build().stripped()
+    return learn(binary, workload(), **_options(binary, mode))
+
+
+MODES = ["full", "partial", "prune"]
+
+
+class TestGoldenDatabases:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("app", sorted(LEARNING_APPS))
+    def test_database_matches_golden_digest(self, app, mode):
+        result = _learned(app, mode)
+        assert (_digest(result.database), result.observations) == \
+            GOLDEN[(app, mode)]
+
+    def test_step_loop_feeds_front_end(self, browser):
+        """A granular hook forces the full step loop; the front end must
+        still observe everything, identically."""
 
         def run_learning(extra_hook):
             stripped = browser.stripped()
@@ -89,7 +138,7 @@ class TestDatabaseEquality:
                                              EnvironmentConfig.full())
             environment.cache_plugins.append(DiscoveryPlugin(procedures))
             environment.extra_hooks.append(
-                TraceFrontEnd(engine, procedures, batched=True))
+                TraceFrontEnd(engine, procedures))
             if extra_hook is not None:
                 environment.extra_hooks.append(extra_hook)
             for page in evaluation_pages()[:4]:
@@ -100,12 +149,6 @@ class TestDatabaseEquality:
         observed = run_learning(_NoOpBefore())
         reference = run_learning(None)
         assert _canonical(observed) == _canonical(reference)
-
-
-LEARNING_APPS = {
-    "browser": (build_browser, learning_pages),
-    "mailserver": (build_mailserver, normal_messages),
-}
 
 
 def _learn_through_step_loop(monkeypatch, binary, payloads, **kwargs):
@@ -127,21 +170,16 @@ class TestCompiledLearningEqualsStepLoop:
     the compiled runs and traces (extraction fused into the runs) must
     digest exactly the records the step loop extracts."""
 
-    @pytest.mark.parametrize("mode", ["full", "partial", "prune"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("app", sorted(LEARNING_APPS))
     def test_compiled_learning_equals_step_loop(self, app, mode,
                                                 monkeypatch):
         build, workload = LEARNING_APPS[app]
         binary = build().stripped()
-        options = {}
-        if mode == "partial":
-            entries = discover_all_reachable(binary).entries()
-            options["traced_procedures"] = set(entries[::2])
-        elif mode == "prune":
-            options["prune"] = True
-        compiled = learn(binary, workload(), **options)
+        compiled = _learned(app, mode)
         stepped = _learn_through_step_loop(monkeypatch, binary,
-                                           workload(), **options)
+                                           workload(),
+                                           **_options(binary, mode))
         assert compiled.observations > 0
         assert compiled.observations == stepped.observations
         assert _canonical(compiled.database) == \
@@ -157,12 +195,17 @@ main:
     sub eax, 2
     mul eax, 3
     div eax, 2
+    div eax, ebx
     and eax, 0xFF
     or eax, 0x100
     xor eax, ebx
     shl eax, 2
     shr eax, 1
     sar eax, 1
+    mov ecx, 3
+    shl eax, ecx
+    shr eax, ecx
+    sar eax, ecx
     neg eax
     not eax
     lea ecx, [0x100010]
@@ -171,9 +214,12 @@ main:
     loadb edi, [ecx+0]
     store [0x100020], eax
     storeb [ecx+1], ebx
+    store [ecx+8], ebx
+    storeb [0x100030], eax
     cmp eax, ebx
     cmp eax, 42
     test eax, 1
+    test eax, ebx
     push eax
     pop ebx
     push 99
@@ -182,46 +228,126 @@ main:
     alloc eax, ebx
     free eax
     out eax
+    out 7
     outb ebx
+    outb 0x1AB
+    mov edx, helper
+    callr edx
+    call helper
+    mov edx, tail
+    jmpr edx
+    nop
+tail:
     nop
     halt
+helper:
+    enter 8
+    leave
+    ret
 """
 
 
+def _b_operand(regs, ins):
+    return regs[ins.b] if ins.b_kind == OperandKind.REGISTER else ins.b
+
+
+def _address(regs, base, disp):
+    if base == ABSOLUTE_BASE:
+        return disp & WORD_MASK
+    return (regs[base] + disp) & WORD_MASK
+
+
+_BINARY_ALU = (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV,
+               Opcode.AND, Opcode.OR, Opcode.XOR,
+               Opcode.SHL, Opcode.SHR, Opcode.SAR)
+
+
+def _read_slots(ins, regs, memory) -> dict:
+    """The slots an instruction reads, from the pre-state alone."""
+    op = ins.opcode
+    slots = {"esp": regs[Register.ESP]}
+    if op == Opcode.MOV:
+        slots["src"] = _b_operand(regs, ins)
+    elif op in _BINARY_ALU:
+        slots["src"] = _b_operand(regs, ins)
+        slots["dst_in"] = regs[ins.a]
+    elif op in (Opcode.NEG, Opcode.NOT):
+        slots["dst_in"] = regs[ins.a]
+    elif op in (Opcode.LOAD, Opcode.LOADB):
+        slots["addr"] = _address(regs, ins.b, ins.c)
+    elif op in (Opcode.STORE, Opcode.STOREB):
+        slots["addr"] = _address(regs, ins.a, ins.c)
+        slots["value"] = regs[ins.b]
+    elif op in (Opcode.CMP, Opcode.TEST):
+        slots["left"] = regs[ins.a]
+        slots["right"] = _b_operand(regs, ins)
+    elif op in (Opcode.PUSH, Opcode.OUT, Opcode.OUTB):
+        slots["value"] = _b_operand(regs, ins)
+    elif op == Opcode.ALLOC:
+        slots["size"] = _b_operand(regs, ins)
+    elif op in (Opcode.CALLR, Opcode.JMPR):
+        slots["target"] = regs[ins.a]
+    elif op == Opcode.FREE:
+        slots["value"] = regs[ins.a]
+    return slots
+
+
+def _computed_slots(ins, cpu, read: dict) -> dict:
+    """The slots an instruction computes, from the post-state ``step()``
+    produced (*read* supplies the store/output values to locate)."""
+    op = ins.opcode
+    regs = cpu.registers
+    if op == Opcode.MOV or op in _BINARY_ALU or \
+            op in (Opcode.NEG, Opcode.NOT):
+        return {"dst": regs[ins.a]}
+    if op in (Opcode.LOAD, Opcode.LOADB, Opcode.POP):
+        return {"value": regs[ins.a]}
+    if op == Opcode.LEA:
+        return {"addr": regs[ins.a]}
+    if op == Opcode.STORE:
+        assert cpu.memory.read_word(read["addr"]) == read["value"]
+    if op == Opcode.STOREB:
+        assert cpu.memory.read_byte(read["addr"]) == read["value"] & 0xFF
+    if op == Opcode.PUSH:
+        assert cpu.memory.read_word(regs[Register.ESP]) == \
+            read["value"] & WORD_MASK
+    if op == Opcode.OUT:
+        assert cpu.output[-1] == read["value"]
+    if op == Opcode.OUTB:
+        assert cpu.output[-1] == read["value"] & 0xFF
+    if op in (Opcode.CALLR, Opcode.JMPR, Opcode.RET):
+        return {"target": cpu.pc}
+    return {}
+
+
 class TestExtractorParity:
-    def test_records_match_observe_operands_across_opcodes(self):
+    def test_records_match_step_across_opcodes(self):
         """At every instruction of an all-opcodes program, the compiled
-        extractor's record must reconstruct exactly the observation
-        ``observe_operands`` builds in the same machine state."""
+        extractor's read slots equal the pre-state and its computed
+        slots equal what ``step()`` produces."""
         binary = assemble(OPCODE_PROGRAM)
         cpu = CPU(binary)
         checked = set()
-
-        class Compare(ExecutionHook):
-            wants_operands = True
-
-            def on_operands(self, hook_cpu, observation):
-                pc = observation.pc
-                instruction = hook_cpu.fetch(pc)
-                record = build_extractor(pc, instruction)(
-                    hook_cpu.registers, hook_cpu.memory)
-                rebuilt = observation_from_record(instruction, record)
-                assert rebuilt == observation, \
-                    f"mismatch at {pc:#x}: {rebuilt} != {observation}"
-                names, _ = operand_layout(instruction)
-                assert len(record) == len(names) + 2
-                checked.add(instruction.opcode)
-
-        cpu.add_hook(Compare())
-        # ALLOC needs a sane size in EBX by the time it runs; the
-        # program arranges registers itself. FREE frees the second
-        # allocation (eax holds its address).
-        cpu.run()
-        assert len(checked) >= 25  # every data-bearing opcode shape
+        while not cpu.halted:
+            pc = cpu.pc
+            ins = cpu.fetch(pc)
+            record = build_extractor(pc, ins)(cpu.registers, cpu.memory)
+            names, _ = operand_layout(ins)
+            assert len(record) == len(names) + 2
+            assert record[0] == pc
+            slots = dict(zip(names + ("esp",), record[1:]))
+            read = _read_slots(ins, cpu.registers, cpu.memory)
+            cpu.step()
+            expected = {**read, **_computed_slots(ins, cpu, read)}
+            assert slots == expected, f"{ins.opcode.name} at {pc:#x}"
+            checked.add(ins.opcode)
+        assert set(Opcode) - checked <= {
+            Opcode.JE, Opcode.JNE, Opcode.JL, Opcode.JLE, Opcode.JG,
+            Opcode.JGE, Opcode.JB, Opcode.JAE, Opcode.JMP}
 
     def test_conditional_slots_absent(self):
-        """POP/RET on an empty stack and a faulting LOAD must yield
-        None-valued slots, matching observe_operands omitting them."""
+        """POP/RET on an empty stack and a faulting LOAD yield
+        None-valued slots, which the dict form omits."""
         binary = assemble("pop eax\nret\nload ebx, [eax+0]\nhalt")
         cpu = CPU(binary)
         cpu.registers[Register.ESP] = cpu.memory.stack_top  # empty stack
@@ -233,11 +359,50 @@ class TestExtractorParity:
                 cpu.registers, cpu.memory)
             rebuilt = observation_from_record(instruction, record)
             assert rebuilt == cpu.observe_operands(pc, instruction)
-            if instruction.opcode.name in ("POP", "RET"):
+            if instruction.opcode in (Opcode.POP, Opcode.RET):
                 assert record[1] is None
-            if instruction.opcode.name == "LOAD":
+                assert rebuilt.slots == {"esp": cpu.memory.stack_top}
+                assert rebuilt.computed == ()
+            if instruction.opcode == Opcode.LOAD:
                 assert record[2] is None
+                assert rebuilt.slots == {"addr": 0x9000,
+                                         "esp": cpu.memory.stack_top}
 
+
+
+class TestPlanDeviation:
+    def test_deviating_record_recompiles_its_plan(self):
+        """A record whose conditional slot is absent (a faulting load's
+        value) retires its pc's plan and digests through one compiled
+        from that record: the absent slot gains no sample, the present
+        ones and their pairs do, and the next normal record recompiles
+        again."""
+        from repro.learning.variables import Variable
+
+        binary = assemble("mov ecx, 1\nload ebx, [eax+0]\nhalt")
+        engine = InferenceEngine(discover_all_reachable(binary))
+        load_pc = INSTRUCTION_SIZE
+        esp = 0x160000
+        records = []
+        for address, value in ((0x100000, 5), (0x9000, None),
+                               (0x100004, 7)):
+            records.append((0, 1, 1, esp))
+            records.append((load_pc, address, value, esp))
+        traced, skipped = engine.observe_batch(
+            records, [], None, {}, engine.procedures.procedure_of, None)
+        engine.finalize()
+
+        assert (traced, skipped) == (6, 0)
+        assert engine.observations == 6
+        assert engine._pc_samples[load_pc] == 3
+        value = Variable(load_pc, "value")
+        addr = Variable(load_pc, "addr")
+        assert engine._variables[value].count == 2
+        assert engine._variables[addr].count == 3
+        dst = Variable(0, "dst")
+        assert engine._pairs[(dst, value)].samples == 2
+        assert engine._pairs[(dst, addr)].samples == 3
+        assert not engine._pairs[(dst, value)].falsified
 
 class TestBatchDelivery:
     def test_batches_deliver_in_order_across_transfers(self):
@@ -353,7 +518,7 @@ class TestBatchDelivery:
 
     def test_learning_config_uses_observed_loop(self, browser):
         """The full learning stack must not force the step loop: no
-        eager operand subscribers, one lazy subscriber."""
+        granular subscribers, one lazy subscriber."""
         stripped = browser.stripped()
         procedures = ProcedureDatabase(stripped)
         engine = InferenceEngine(procedures)
@@ -361,9 +526,8 @@ class TestBatchDelivery:
                                          EnvironmentConfig.full())
         environment.cache_plugins.append(DiscoveryPlugin(procedures))
         environment.extra_hooks.append(
-            TraceFrontEnd(engine, procedures, batched=True))
+            TraceFrontEnd(engine, procedures))
         cpu = environment.launch(evaluation_pages()[0])
-        assert not cpu.bus.operands
         assert not cpu.bus.before and not cpu.bus.after
         assert len(cpu.bus.lazy_operands) == 1
         cpu.run()

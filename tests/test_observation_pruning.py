@@ -67,8 +67,8 @@ class TestDifferentialEquality:
 
 
 class TestGating:
-    """Pruning is only sound under the block pair scope on batched,
-    untraced learning runs; anything else must refuse loudly."""
+    """Pruning is only sound under the block pair scope on untraced
+    learning runs; anything else must refuse loudly."""
 
     def setup_method(self):
         self.binary = build_mailserver().stripped()
@@ -78,10 +78,6 @@ class TestGating:
         with pytest.raises(ValueError, match="prune"):
             learn(self.binary, self.payloads, prune=True,
                   pair_scope="procedure")
-
-    def test_rejects_unbatched(self):
-        with pytest.raises(ValueError, match="prune"):
-            learn(self.binary, self.payloads, prune=True, batched=False)
 
     def test_rejects_partial_tracing(self):
         with pytest.raises(ValueError, match="prune"):
