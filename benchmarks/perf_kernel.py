@@ -402,10 +402,22 @@ def profile_config(label: str, top: int = 20) -> None:
     *top* cumulative-time functions — so perf PRs can quote where the
     time went (``python benchmarks/perf_kernel.py --profile learning``)
     — plus the trace tier's coverage (% of instructions retired inside
-    trace runs).
+    trace runs) and selection health
+    (:func:`repro.vm.cpu.trace_selection_health`).
+
+    Use it to find *where* time goes, not to claim speed-ups: cProfile
+    under-weights per-call overhead, so ratios read under it understate
+    wall-clock ones (a cold vs a warm code cache reads 1.09x under
+    cProfile but 1.3-1.5x on the wall clock).  Speed claims come from
+    the end-to-end benchmark (``e2ebench/run.py``) and paired runs
+    (``run_bench.py --compare``).
     """
     import cProfile
     import pstats
+
+    # Imported here, not at module level: ``run_bench.py --compare``
+    # runs this module against older source trees.
+    from repro.vm.cpu import trace_selection_health
 
     binary = build_browser().stripped()
     pages = evaluation_pages()
@@ -426,6 +438,11 @@ def profile_config(label: str, top: int = 20) -> None:
     print(f"# top {top} functions by cumulative time, config={label}")
     print(f"# trace coverage: {traced}/{steps} instructions retired "
           f"inside trace runs ({100.0 * traced / max(steps, 1):.1f}%)")
+    health = trace_selection_health(binary)
+    print(f"# trace selection: {health['published']} paths published, "
+          f"{health['refused']} heads refused, {health['undecided']} "
+          f"heads past TRACE_THRESHOLD with no path")
+    stats.print_stats(top)
 
 
 def main(argv: list[str] | None = None) -> int:

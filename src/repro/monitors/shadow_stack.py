@@ -12,16 +12,19 @@ offset adjustment that return-from-procedure repairs need (§2.2.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.vm.cpu import CPU
 from repro.vm.hooks import ExecutionHook, TransferKind
-from repro.vm.isa import Register
+from repro.vm.isa import INSTRUCTION_SIZE, Register
+
+_CALLS = (TransferKind.CALL, TransferKind.INDIRECT_CALL)
+_ESP = int(Register.ESP)
 
 
-@dataclass(frozen=True)
-class ShadowFrame:
-    """One procedure activation."""
+class ShadowFrame(NamedTuple):
+    """One procedure activation.  Immutable and hashable; a named tuple
+    rather than a frozen dataclass because one is built per call."""
 
     call_site: int        # pc of the call instruction
     entry: int            # callee entry address (= discovered procedure id)
@@ -44,15 +47,12 @@ class ShadowStack(ExecutionHook):
 
     def on_transfer(self, cpu: CPU, pc: int, kind: str,
                     target: int) -> None:
-        if kind in (TransferKind.CALL, TransferKind.INDIRECT_CALL):
-            from repro.vm.isa import INSTRUCTION_SIZE
-            self.frames.append(ShadowFrame(
-                call_site=pc,
-                entry=target,
-                return_address=pc + INSTRUCTION_SIZE,
-                # The CALL has already pushed the return address by the
-                # time on_transfer fires, so ESP is the at-entry value.
-                sp_at_entry=cpu.registers[Register.ESP]))
+        if kind in _CALLS:
+            # The CALL has already pushed the return address by the
+            # time on_transfer fires, so ESP is the at-entry value.
+            self.frames.append(ShadowFrame(pc, target,
+                                           pc + INSTRUCTION_SIZE,
+                                           cpu.registers[_ESP]))
             self.pushes += 1
         elif kind == TransferKind.PATCH and self.frames and \
                 target == self.frames[-1].return_address:

@@ -35,7 +35,9 @@ run, mirroring how Determina re-materialises patched fragments.
 Above the block runs sits the *trace tier* (DynamoRIO traces): completed
 block runs feed an edge profile shared per binary, and once a head
 crosses :data:`TRACE_THRESHOLD` the next executed chain of runs is
-recorded as a trace path.  A trace executes its member runs back to back
+recorded as a trace path — ending, as in DynamoRIO, where the chain
+reaches an existing trace head — or the head is refused when no trace
+can chain its hottest edge.  A trace executes its member runs back to back
 with a one-compare guard at each boundary — the transfer handler already
 computed the real target, so chaining costs a comparison, not a
 dispatch — and a trace (or a self-looping run) whose final target is its
@@ -158,6 +160,22 @@ TRACE_MAX_BLOCKS = 12
 #: transfers need no stability: their hottest successor is hot by
 #: construction.
 _INDIRECT_STABILITY = 0.75
+
+
+def trace_selection_health(binary: Binary) -> dict[str, int]:
+    """How far trace selection (:meth:`CPU._profile_edge`) has converged
+    on *binary*: paths published, heads refused, and heads *undecided* —
+    past :data:`TRACE_THRESHOLD` with neither a path nor a refusal, so
+    every retirement re-tests them.  Undecided heads should be 0; more
+    mean selection has regressed."""
+    paths = binary._trace_paths or {}
+    profile = binary._trace_profile or {}
+    return {
+        "published": sum(1 for path in paths.values() if path),
+        "refused": sum(1 for path in paths.values() if path is False),
+        "undecided": sum(1 for head, count in profile.items()
+                         if count >= TRACE_THRESHOLD and head not in paths),
+    }
 
 
 class CPU:
@@ -575,7 +593,6 @@ class CPU:
                     # negative verdicts new registrations may have
                     # overtaken.
                     self._refresh_generation()
-                    self._trace_recording = None
                     self._compiled_version = anchor_version
                 run = traces_get(pc)
                 if run is None and pc not in no_trace:
@@ -861,15 +878,24 @@ class CPU:
         Heat accumulates in the per-binary profile, and every retirement
         feeds the per-binary successor histogram; once a head crosses
         :data:`TRACE_THRESHOLD` the chain of runs executed next is
-        recorded and published as that head's trace path (``False``
-        when recording refused, which also stops profiling the head).
-        Recording only starts and extends along *hottest* successors
-        (:meth:`_extend_worthy`) — a trace captures the dominant path
-        through a branchy region, not whichever path happened to run at
-        the threshold crossing — and chaining across an indirect
-        transfer additionally demands a stable (monomorphic-majority)
-        observed target.  Paths are plan-independent: every compilation
-        plan instantiates them through :meth:`_build_trace`.
+        recorded and published as that head's trace path.  Recording
+        only starts and extends along the successor
+        :meth:`_trace_successor` names — a trace captures the dominant
+        path through a branchy region, not whichever path happened to
+        run at the threshold crossing.  A recording ends where its next
+        run already heads a trace (as in DynamoRIO's trace selection):
+        the executor enters that trace, which no retirement of this
+        chain would ever follow.  Paths are anchor- and plan-independent
+        — every plan instantiates them through :meth:`_build_trace`,
+        which re-validates the members — so a recording survives
+        anchor-generation changes (block builds, patches).
+
+        A hot head is *refused* (``False``, which also stops profiling
+        it) only for properties of the code, the same in every instance
+        and plan: its hottest edge is a self-loop, crosses an indirect
+        transfer with no stable target, or leaves a run that halts.
+        When this instance's blocks or this plan's table cannot chain
+        the edge (:meth:`_may_join`), the head is re-armed instead.
         """
         edges = self._edge_profile.get(entry_pc)
         if edges is None:
@@ -879,67 +905,85 @@ class CPU:
         recording = self._trace_recording
         if recording is not None:
             head, chain = recording
-            if chain[-1] != entry_pc:
-                # The chain broke (per-instruction territory, another
-                # trace, a fault path); drop the recording — the head
-                # stays hot and recording re-arms on its next run.
-                self._trace_recording = None
-            elif next_pc == head or next_pc in chain or \
-                    len(chain) >= TRACE_MAX_BLOCKS or \
-                    not self._extend_worthy(entry_pc, next_pc) or \
-                    not self._trace_member(next_pc):
-                # Loop closed, chain re-entered itself, cap reached,
-                # the edge is off the hot path, or the next run is
-                # ineligible: publish what we have (a chain is born
-                # with two members, so it is always a valid path).
+            if chain[-1] == entry_pc:
+                if next_pc != head and next_pc not in chain and \
+                        len(chain) < TRACE_MAX_BLOCKS and \
+                        self._trace_successor(entry_pc, edges) == next_pc \
+                        and not self.halted and self._may_join(next_pc):
+                    chain.append(next_pc)
+                    if not paths.get(next_pc):
+                        return
+                # The loop closed, the chain re-entered itself, the cap
+                # was reached, the edge is off the hot path, the machine
+                # halted, or the next run is ineligible or heads a
+                # trace: publish what we have (a chain is born with two
+                # members).
                 self._trace_recording = None
                 paths[head] = tuple(chain)
                 self._no_trace.discard(head)
                 return
-            else:
-                chain.append(next_pc)
-                return
+            # The chain broke (per-instruction territory, a fault
+            # path); drop the recording — the head stays hot and
+            # recording re-arms on its next run.
+            self._trace_recording = None
         if entry_pc in paths:
             return
         profile = self._shared_profile
         count = profile.get(entry_pc, 0) + 1
         profile[entry_pc] = count
-        if count < TRACE_THRESHOLD or not self._trace_member(entry_pc):
+        if count < TRACE_THRESHOLD:
             return
-        if next_pc == entry_pc:
-            # Self-looping run: the executor's loop-back already cycles
-            # it in place; a one-member trace would add nothing.
+        successor = self._trace_successor(entry_pc, edges)
+        if successor is not None and successor != next_pc:
+            return  # decide on a retirement along the hottest edge
+        if successor is None or next_pc == entry_pc or self.halted:
+            # An unstable indirect target, a self-looping run (the
+            # executor's loop-back already cycles it in place) or a
+            # halting one: no trace can chain this edge.
             paths[entry_pc] = False
-        elif self._extend_worthy(entry_pc, next_pc) and \
-                self._trace_member(next_pc):
-            self._trace_recording = (entry_pc, [entry_pc, next_pc])
+        elif not (self._trace_member(entry_pc) and
+                  self._may_join(next_pc)):
+            # This instance or plan cannot chain the edge yet; another
+            # may, so the head heats up again rather than being refused.
+            profile[entry_pc] = 0
+        elif paths.get(next_pc):
+            paths[entry_pc] = (entry_pc, next_pc)
             self._no_trace.discard(entry_pc)
+        else:
+            self._trace_recording = (entry_pc, [entry_pc, next_pc])
 
-    def _extend_worthy(self, from_pc: int, next_pc: int) -> bool:
-        """May a trace follow the edge ``from_pc -> next_pc``?
+    def _may_join(self, pc: int) -> bool:
+        """May the run at *pc* follow a chain in this instance, under
+        this plan?  It needs a member run — or, where this instance has
+        not built *pc*'s block yet (a fall-through the code cache builds
+        on arrival), a run for it already compiled under this plan: the
+        chain breaks unless that run is the next to retire whole.  The
+        answer depends on this instance's blocks and this plan's table,
+        so a no re-arms a head rather than refusing it."""
+        if pc in self.bus.blocks:
+            return self._trace_member(pc)
+        return pc in self._compiled
 
-        Only along the hottest recorded successor — trace selection is
-        hottest-successor, not first-recorded.  When the run at
-        *from_pc* ends in an indirect transfer (CALLR/JMPR) the edge
-        must additionally be *stable*: the hottest target must hold at
-        least :data:`_INDIRECT_STABILITY` of all observed successors
-        before the trace inlines across it (guarded monomorphic
-        inlining — the guard at the member boundary still validates
-        every following pass).
+    def _trace_successor(self, from_pc: int, edges: dict) -> int | None:
+        """The successor a trace may follow from the run at *from_pc*,
+        given its successor histogram *edges*: the hottest one — trace
+        selection is hottest-successor, not first-recorded.  When the
+        run ends in an indirect transfer (CALLR/JMPR) that successor
+        must also be *stable* — hold at least
+        :data:`_INDIRECT_STABILITY` of all observed successors — before
+        a trace inlines across it (guarded monomorphic inlining — the
+        guard at the member boundary still validates every following
+        pass); None when it is not.
         """
-        edges = self._edge_profile.get(from_pc)
-        if not edges:
-            return False
         best = max(edges, key=edges.get)
-        if next_pc != best:
-            return False
         located = self.bus.blocks.get(from_pc)
         if located is not None:
             terminator = located[0][-1][1].opcode
-            if terminator == Opcode.CALLR or terminator == Opcode.JMPR:
-                return edges[best] >= \
-                    _INDIRECT_STABILITY * sum(edges.values())
-        return True
+            if (terminator == Opcode.CALLR or terminator == Opcode.JMPR) \
+                    and edges[best] < \
+                    _INDIRECT_STABILITY * sum(edges.values()):
+                return None
+        return best
 
     def _adopt_trace(self, pc: int) -> tuple | None:
         """Instantiate the shared trace path at *pc* against this CPU's

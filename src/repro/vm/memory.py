@@ -15,8 +15,16 @@ are what catch the interesting corruption.
 
 from __future__ import annotations
 
+import struct
+
 from repro.errors import MemoryFault
 from repro.vm.isa import WORD_MASK, WORD_SIZE
+
+#: One little-endian 32-bit word; reads and writes go straight to and
+#: from the backing store, with no intermediate ``bytes`` object.
+_WORD = struct.Struct("<I")
+_unpack_word = _WORD.unpack_from
+_pack_word = _WORD.pack_into
 
 #: Recycled backing stores by size, with matching zero templates.  A
 #: fresh multi-hundred-KB ``bytearray`` costs an mmap plus page faults
@@ -91,6 +99,13 @@ class Memory:
         #: translates addresses at or above ``data_base``.
         self._gap = self.data_base - code_size
         self._bytes = _acquire_buffer(self.stack_top - self._gap)
+        #: Data, heap and stack are one contiguous read/write window
+        #: ``[data_base, stack_top)``.  The word accessors test it inline
+        #: (this is the last address a word access may start at) and
+        #: send everything else through :meth:`_check_range`, the one
+        #: place faults are raised; what passes it there is code, stored
+        #: at identity offsets.
+        self._word_last = self.stack_top - WORD_SIZE
         #: When False, stores into the code segment fault (W^X). Loaders
         #: flip this on briefly to install the binary image.
         self.code_writable = False
@@ -168,19 +183,18 @@ class Memory:
 
     def read_word(self, address: int) -> int:
         """Read a little-endian 32-bit word."""
+        if self.data_base <= address <= self._word_last:
+            return _unpack_word(self._bytes, address - self._gap)[0]
         self._check_range(address, WORD_SIZE, writing=False)
-        if address >= self.data_base:
-            address -= self._gap
-        return int.from_bytes(self._bytes[address:address + WORD_SIZE],
-                              "little")
+        return _unpack_word(self._bytes, address)[0]
 
     def write_word(self, address: int, value: int) -> None:
         """Write a little-endian 32-bit word."""
+        if self.data_base <= address <= self._word_last:
+            _pack_word(self._bytes, address - self._gap, value & WORD_MASK)
+            return
         self._check_range(address, WORD_SIZE, writing=True)
-        if address >= self.data_base:
-            address -= self._gap
-        self._bytes[address:address + WORD_SIZE] = (
-            (value & WORD_MASK).to_bytes(WORD_SIZE, "little"))
+        _pack_word(self._bytes, address, value & WORD_MASK)
 
     def read_bytes(self, address: int, size: int) -> bytes:
         """Read *size* raw bytes."""

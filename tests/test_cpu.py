@@ -11,6 +11,7 @@ from repro.errors import (
     CodeInjectionExecuted,
     DivisionByZero,
     ExecutionLimitExceeded,
+    MemoryFault,
     StackFault,
 )
 from repro.vm import CPU, ExecutionHook, Register, assemble
@@ -443,6 +444,64 @@ SEMANTICS = [
 ]
 
 
+DATA_BASE = 0x100000
+
+#: Loads, stores, pushes and pops at the edges of the data-to-stack
+#: window (``DATA_BASE`` and ``STACK_TOP - 4``) and just past them, in
+#: the format of ``SEMANTICS``.  A ``MemoryFault`` carries no pc; the
+#: machine's pc pins the faulting instruction instead.
+MEMORY_BOUNDARY = [
+    ("load-data-base", "mov ebx, 0x11223344\nstore [0x100000], ebx\n"
+     "mov ecx, 0x100000", "load eax, [ecx+0]", {"eax": 0x11223344}),
+    ("load-stack-top-4", "mov ebx, 0xCAFEBABE\npush ebx",
+     "load eax, [0x15FFFC]", {"eax": 0xCAFEBABE}),
+    ("loadb-stack-top-1", "mov ebx, 0xAB000000\nstore [0x15FFFC], ebx",
+     "loadb eax, [0x15FFFF]", {"eax": 0xAB}),
+    ("store-data-base", "mov ebx, 0xCAFEBABE", "store [0x100000], ebx",
+     {"mem": {DATA_BASE: 0xCAFEBABE}}),
+    ("store-stack-top-4", "mov ebx, 0xCAFEBABE\nmov ecx, 0x15FFFC",
+     "store [ecx+0], ebx", {"mem": {STACK_TOP - 4: 0xCAFEBABE}}),
+    ("storeb-stack-top-1", "mov ebx, 0x1CD", "storeb [0x15FFFF], ebx",
+     {"mem": {STACK_TOP - 4: 0xCD000000}}),
+    ("push-to-stack-top-4", "mov ebx, 0x600D", "push ebx",
+     {"esp": STACK_TOP - 4, "mem": {STACK_TOP - 4: 0x600D}}),
+    ("pop-at-stack-top-4", "mov ebx, 0x600D\npush ebx", "pop eax",
+     {"eax": 0x600D, "esp": STACK_TOP}),
+    ("pop-at-data-base", "mov ebx, 0x600D\nstore [0x100000], ebx\n"
+     "mov esp, 0x100000", "pop eax", {"eax": 0x600D, "esp": 0x100004}),
+    ("push-to-data-base", "mov esp, 0x100004", "push ebx",
+     {"esp": 0x100004, "fault": (StackFault, "stack overflow")}),
+    ("pop-at-stack-top-3", "mov esp, 0x15FFFD", "pop eax",
+     {"esp": STACK_TOP - 3, "fault": (StackFault, "stack underflow")}),
+    ("load-stack-top-3", "", "load eax, [0x15FFFD]",
+     {"fault": (MemoryFault, "read of 4 bytes at 0x15fffd is outside "
+                "the address space (limit 0x160000)")}),
+    ("store-stack-top-3", "mov ecx, 0x15FFFD", "store [ecx+0], ebx",
+     {"fault": (MemoryFault, "write of 4 bytes at 0x15fffd is outside "
+                "the address space (limit 0x160000)")}),
+    ("load-stack-top", "mov ecx, 0x160000", "load eax, [ecx+0]",
+     {"fault": (MemoryFault, "read of 4 bytes at 0x160000 is outside "
+                "the address space (limit 0x160000)")}),
+    ("loadb-stack-top", "", "loadb eax, [0x160000]",
+     {"fault": (MemoryFault, "read of 1 bytes at 0x160000 is outside "
+                "the address space (limit 0x160000)")}),
+    ("storeb-stack-top", "", "storeb [0x160000], ebx",
+     {"fault": (MemoryFault, "write of 1 bytes at 0x160000 is outside "
+                "the address space (limit 0x160000)")}),
+    ("load-wrapped-negative", "mov ecx, -4", "load eax, [ecx+0]",
+     {"fault": (MemoryFault, "read of 4 bytes at 0xfffffffc is outside "
+                "the address space (limit 0x160000)")}),
+    ("load-guard", "", "load eax, [0xFFFFC]",
+     {"fault": (MemoryFault, "read at 0xffffc hit the unmapped guard "
+                "region between code and data")}),
+    ("store-guard", "", "store [0xFFFFC], ebx",
+     {"fault": (MemoryFault, "write at 0xffffc hit the unmapped guard "
+                "region between code and data")}),
+    ("store-code", "", "store [0x0], ebx",
+     {"fault": (MemoryFault, "write to read-only code segment at 0x0")}),
+]
+
+
 class _StoreListener(ExecutionHook):
     """Subscribes to stores, which restores the store barriers."""
 
@@ -522,6 +581,56 @@ class TestLiteralSemantics:
         if mode == "barrier" and instruction.startswith("store"):
             assert test_pc not in _fused_pcs(cpu)
             assert listener.stores[-1][0] == test_pc
+
+
+    @pytest.mark.parametrize("mode", ["step", "fused"])
+    @pytest.mark.parametrize("case", MEMORY_BOUNDARY,
+                             ids=[c[0] for c in MEMORY_BOUNDARY])
+    def test_memory_boundary(self, case, mode):
+        """Memory and stack ops at the edges of the mapped window give
+        the same literal result through ``step()`` and fused runs:
+        values, fault, fault message, pc and step count."""
+        _, setup, instruction, expected = case
+        binary = assemble(f"mov edi, 1\n{setup}\nunder_test:\n"
+                          f"{instruction}\nhalt")
+        test_pc = binary.symbols["under_test"]
+        cpu = CPU(binary)
+        if mode == "fused":
+            cpu.add_hook(CodeCache(binary))
+        fault = None
+        try:
+            if mode == "step":
+                while not cpu.halted:
+                    cpu.step()
+            else:
+                cpu.run()
+        except (MemoryFault, StackFault) as error:
+            fault = error
+
+        retired = test_pc // INSTRUCTION_SIZE + 1
+        if "fault" in expected:
+            kind, message = expected["fault"]
+            assert type(fault) is kind
+            if kind is MemoryFault:
+                assert fault.pc is None
+                assert str(fault) == message
+            else:
+                assert str(fault) == f"[pc={test_pc:#x}] {message}"
+            assert cpu.pc == test_pc
+            assert cpu.steps == retired
+            assert not cpu.halted
+        else:
+            assert fault is None
+            assert cpu.halted
+            assert cpu.steps == retired + 1
+        for name in ("eax", "esp"):
+            if name in expected:
+                assert cpu.registers[Register[name.upper()]] == \
+                    expected[name], name
+        for address, word in expected.get("mem", {}).items():
+            assert cpu.memory.read_word(address) == word
+        if mode == "fused":
+            assert test_pc in _fused_pcs(cpu)
 
 
 class TestOneDefinitionPerOpcode:

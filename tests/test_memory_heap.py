@@ -82,6 +82,130 @@ class TestAccess:
         assert memory.read_word(address) == value
 
 
+#: ``make_memory()``'s layout, as literals.
+CODE_LIMIT = 0x100
+DATA_BASE = 0x100000
+HEAP_BASE = 0x110000
+STACK_BASE = 0x150000
+STACK_TOP = 0x160000
+
+
+class TestBoundaryLiterals:
+    """Word and byte access at the edges of every mapped segment, and
+    the exact fault of every access just past one, as literals."""
+
+    def test_layout_literals(self):
+        memory = make_memory()
+        assert (memory.code_limit, memory.data_base, memory.heap_base,
+                memory.stack_base, memory.stack_top) == \
+            (CODE_LIMIT, DATA_BASE, HEAP_BASE, STACK_BASE, STACK_TOP)
+
+    @pytest.mark.parametrize("address", [DATA_BASE, HEAP_BASE, STACK_BASE,
+                                         STACK_TOP - 4])
+    def test_word_at_segment_edges(self, address):
+        memory = make_memory()
+        memory.write_word(address, 0x04030201)
+        assert memory.read_word(address) == 0x04030201
+        assert memory.read_bytes(address, 4) == b"\x01\x02\x03\x04"
+        assert [memory.read_byte(address + i) for i in range(4)] == \
+            [1, 2, 3, 4]
+        memory.write_word(address, -1)
+        assert memory.read_word(address) == 0xFFFFFFFF
+        memory.write_word(address, 0x1_2345_6789)
+        assert memory.read_word(address) == 0x23456789
+
+    @pytest.mark.parametrize("address", [DATA_BASE, HEAP_BASE, STACK_BASE,
+                                         STACK_TOP - 4, STACK_TOP - 1])
+    def test_byte_at_segment_edges(self, address):
+        memory = make_memory()
+        memory.write_byte(address, 0x1AB)
+        assert memory.read_byte(address) == 0xAB
+        assert memory.read_bytes(address, 1) == b"\xab"
+        if address > DATA_BASE:
+            assert memory.read_byte(address - 1) == 0
+        if address < STACK_TOP - 1:
+            assert memory.read_byte(address + 1) == 0
+
+    def test_words_straddle_segments_seamlessly(self):
+        memory = make_memory()
+        memory.write_word(HEAP_BASE - 2, 0xAABBCCDD)
+        assert memory.read_word(HEAP_BASE - 2) == 0xAABBCCDD
+        assert memory.read_word(HEAP_BASE) == 0xAABB
+
+    def test_code_segment_reads(self):
+        memory = make_memory()
+        memory.install_code(bytes(range(1, 17)))
+        assert memory.read_word(0) == 0x04030201
+        assert memory.read_byte(15) == 16
+        assert memory.read_word(CODE_LIMIT - 4) == 0
+
+    @pytest.mark.parametrize("access, message", [
+        (lambda m: m.read_word(STACK_TOP - 3),
+         "read of 4 bytes at 0x15fffd is outside the address space "
+         "(limit 0x160000)"),
+        (lambda m: m.write_word(STACK_TOP - 3, 1),
+         "write of 4 bytes at 0x15fffd is outside the address space "
+         "(limit 0x160000)"),
+        (lambda m: m.read_word(STACK_TOP),
+         "read of 4 bytes at 0x160000 is outside the address space "
+         "(limit 0x160000)"),
+        (lambda m: m.write_word(STACK_TOP, 1),
+         "write of 4 bytes at 0x160000 is outside the address space "
+         "(limit 0x160000)"),
+        (lambda m: m.read_byte(STACK_TOP),
+         "read of 1 bytes at 0x160000 is outside the address space "
+         "(limit 0x160000)"),
+        (lambda m: m.write_byte(STACK_TOP, 1),
+         "write of 1 bytes at 0x160000 is outside the address space "
+         "(limit 0x160000)"),
+        (lambda m: m.read_word(CODE_LIMIT),
+         "read at 0x100 hit the unmapped guard region between code and "
+         "data"),
+        (lambda m: m.read_word(CODE_LIMIT - 2),
+         "read at 0xfe hit the unmapped guard region between code and "
+         "data"),
+        (lambda m: m.write_word(CODE_LIMIT, 1),
+         "write at 0x100 hit the unmapped guard region between code and "
+         "data"),
+        (lambda m: m.read_byte(CODE_LIMIT),
+         "read at 0x100 hit the unmapped guard region between code and "
+         "data"),
+        (lambda m: m.read_word(DATA_BASE - 4),
+         "read at 0xffffc hit the unmapped guard region between code and "
+         "data"),
+        (lambda m: m.read_word(DATA_BASE - 2),
+         "read at 0xffffe hit the unmapped guard region between code and "
+         "data"),
+        (lambda m: m.write_word(DATA_BASE - 4, 1),
+         "write at 0xffffc hit the unmapped guard region between code and "
+         "data"),
+        (lambda m: m.write_byte(DATA_BASE - 1, 1),
+         "write at 0xfffff hit the unmapped guard region between code and "
+         "data"),
+        (lambda m: m.read_word(-4),
+         "read of 4 bytes at -0x4 is outside the address space "
+         "(limit 0x160000)"),
+        (lambda m: m.write_word(-1, 1),
+         "write of 4 bytes at -0x1 is outside the address space "
+         "(limit 0x160000)"),
+        (lambda m: m.read_byte(-1),
+         "read of 1 bytes at -0x1 is outside the address space "
+         "(limit 0x160000)"),
+        (lambda m: m.write_word(0, 1),
+         "write to read-only code segment at 0x0"),
+        (lambda m: m.write_word(CODE_LIMIT - 4, 1),
+         "write to read-only code segment at 0xfc"),
+        (lambda m: m.write_byte(0x10, 1),
+         "write to read-only code segment at 0x10"),
+    ])
+    def test_fault_messages(self, access, message):
+        memory = make_memory()
+        with pytest.raises(MemoryFault) as caught:
+            access(memory)
+        assert str(caught.value) == message
+        assert caught.value.pc is None
+
+
 class TestHeap:
     def test_allocate_in_heap_segment(self):
         memory = make_memory()

@@ -209,6 +209,48 @@ class TestShadowStack:
         assert shadow.frames == []  # fully unwound at halt
         assert shadow.mismatches == 0
 
+    def test_frame_record_fields(self):
+        """Each call pushes one immutable, hashable frame recording the
+        call site, callee, return address and ESP at entry."""
+        from repro.monitors import ShadowFrame
+        from repro.vm import ExecutionHook
+        from repro.vm.isa import INSTRUCTION_SIZE
+
+        shadow = ShadowStack()
+        binary = assemble("""
+        main:
+            call leaf
+            halt
+        leaf:
+            nop
+            ret
+        """)
+        seen = []
+
+        class AtLeaf(ExecutionHook):
+            def before_instruction(self, cpu, pc, instruction):
+                if pc == binary.symbols["leaf"]:
+                    seen.append(shadow.current_frame())
+                return None
+
+        cpu = CPU(binary)
+        cpu.add_hook(shadow)
+        cpu.add_hook(AtLeaf())
+        cpu.run()
+        call_site = binary.symbols["main"]
+        expected = ShadowFrame(call_site=call_site,
+                               entry=binary.symbols["leaf"],
+                               return_address=call_site + INSTRUCTION_SIZE,
+                               sp_at_entry=cpu.memory.stack_top - 4)
+        assert seen == [expected]
+        frame = seen[0]
+        assert (frame.call_site, frame.entry, frame.return_address,
+                frame.sp_at_entry) == (0, 0x20, 0x10, 0x15FFFC)
+        assert hash(frame) == hash(expected)
+        with pytest.raises(AttributeError):
+            frame.entry = 0
+        assert (shadow.pushes, shadow.pops, shadow.frames) == (1, 1, [])
+
     def test_survives_native_stack_corruption(self):
         """The shadow stack's reason for existing: the native return
         address is smashed, but the shadow still names the procedure."""

@@ -14,9 +14,10 @@ import pytest
 from repro.dynamo import EnvironmentConfig, ManagedEnvironment, Outcome
 from repro.dynamo.code_cache import CodeCache
 from repro.dynamo.patches import Patch, PatchManager
-from repro.errors import ExecutionLimitExceeded
+from repro.errors import ExecutionLimitExceeded, VMError
 from repro.vm import CPU, assemble
 from repro.vm.cpu import _SEGMENT_BARRIERS  # noqa: F401  (api sanity)
+from repro.vm.cpu import TRACE_THRESHOLD, trace_selection_health
 from repro.vm.hooks import ExecutionHook
 from repro.vm.isa import INSTRUCTION_SIZE, Register
 
@@ -347,6 +348,124 @@ def _trace_cpu(program: str, slow: bool, extra_hooks=()) -> CPU:
     return cpu
 
 
+#: A straight chain of blocks run once per launch.  ``main`` reads a
+#: request word from the data segment; a nonzero request is an address
+#: ``bad`` loads from.
+CHAIN_PROGRAM = """
+main:
+    load ebx, [0x100000]
+    mov eax, 1
+    jmp second
+second:
+    add eax, 2
+    add eax, 3
+    jmp third
+third:
+    add eax, 4
+    out eax
+    jmp finish
+finish:
+    cmp ebx, 0
+    jne bad
+done:
+    out eax
+    halt
+bad:
+    load eax, [ebx+0]
+    out eax
+    halt
+"""
+
+#: An outer loop whose body enters a hotter inner loop (three passes
+#: per outer iteration), so the inner loop heads a trace before the
+#: outer head crosses the threshold.  One extra outer pass with a bad
+#: pointer faults inside the callee.
+NESTED_PROGRAM = """
+main:
+    mov ecx, 40
+    mov eax, 0
+    lea esi, [0x100000]
+outer:
+    mov edx, 3
+    add eax, 1
+    jmp inner
+inner:
+    add eax, 2
+    call bump
+    sub edx, 1
+    cmp edx, 0
+    jne inner
+    out eax
+    sub ecx, 1
+    cmp ecx, 0
+    jne outer
+    lea esi, [0x15FFFD]
+    mov ecx, 1
+    jmp outer
+bump:
+    load ebx, [esi+0]
+    add eax, ebx
+    ret
+"""
+
+#: A counted loop whose body can also be entered half-way, at ``mid``.
+#: A positive request runs ``body`` that many times.  A negative one
+#: enters at ``mid`` first, so that launch decodes ``body`` truncated at
+#: ``mid`` (a block ends where a known block starts).
+REENTRY_PROGRAM = """
+main:
+    load ecx, [0x100000]
+    mov eax, 0
+    cmp ecx, 0
+    jl early
+body:
+    add eax, 1
+    add eax, 2
+mid:
+    add eax, 3
+    sub ecx, 1
+    jmp latch
+latch:
+    cmp ecx, 0
+    jne body
+done:
+    out eax
+    halt
+early:
+    neg ecx
+    jmp mid
+"""
+
+#: The stack top of an assembled program's default address space.
+STACK_TOP = 0x160000
+
+
+def _launch(binary, slow: bool, request: int = 0, snapshot=None):
+    """One fresh launch under a fresh code cache (optionally restored
+    from *snapshot*), with *request* stored at the data base; returns
+    the machine state plus the fault, the CPU and the cache."""
+    cpu = CPU(binary)
+    cpu.memory.write_word(cpu.memory.data_base, request)
+    cache = CodeCache(binary)
+    if snapshot is not None:
+        cache.restore(snapshot)
+    cpu.add_hook(cache)
+    if slow:
+        cpu.add_hook(_NoOpBefore())
+    fault = None
+    try:
+        cpu.run()
+    except VMError as error:
+        fault = (type(error).__name__, str(error))
+    return (*_machine_state(cpu), fault), cpu, cache
+
+
+def _result_key(result):
+    return (result.outcome, result.output, result.steps, result.detail,
+            result.failure_pc, result.interrupted_pc, result.monitor,
+            result.call_stack, result.stats)
+
+
 class TestTraceTier:
     def test_trace_forms_and_matches_step_loop(self):
         """The hot call/store loop must record a trace path, retire
@@ -447,6 +566,113 @@ class TestTraceTier:
         assert _machine_state(fast) == _machine_state(slow)
         assert fast_recorder.seen == slow_recorder.seen
         assert fast_recorder.seen  # the attach happened mid-loop
+
+    def test_recording_survives_block_builds(self):
+        """Fresh per-request launches build every block on arrival, so
+        the code cache bumps the anchor generation between each pair of
+        members of the recording the head's threshold crossing starts.
+        The recording must survive those bumps and publish when its last
+        member halts — even though the code after the HALT (``bad``,
+        run by the first, faulting launch) already has a compiled run —
+        and every launch must match the step loop."""
+        binary = assemble(CHAIN_PROGRAM)
+        symbols = binary.symbols
+        for launch in range(TRACE_THRESHOLD + 2):
+            request = STACK_TOP if launch == 0 else 0
+            fast, _, cache = _launch(binary, slow=False, request=request)
+            assert fast == _launch(binary, slow=True, request=request)[0]
+            if launch == 0:
+                assert fast[-1] == ("MemoryFault",
+                                    "read of 4 bytes at 0x160000 is "
+                                    "outside the address space (limit "
+                                    "0x160000)")
+                assert fast[3] == symbols["bad"]
+            else:
+                assert fast[-1] is None
+                assert cache.builds == 5  # every block, every launch
+        assert binary._trace_paths.get(symbols["main"]) == tuple(
+            symbols[name]
+            for name in ("main", "second", "third", "finish", "done"))
+        # A warm launch (every block restored up front) instantiates the
+        # path and still matches the step loop.
+        fast, warm, _ = _launch(binary, slow=False,
+                                snapshot=cache.snapshot())
+        assert fast == _launch(binary, slow=True,
+                               snapshot=cache.snapshot())[0]
+        assert warm.trace_retired > 0
+
+    def test_chain_ends_at_an_existing_trace_head(self):
+        """The outer loop head's hottest successor is the inner loop,
+        which already heads a trace: the executor enters that trace, so
+        the recording must end there and publish at once instead of
+        breaking and re-arming on every outer iteration."""
+        binary = assemble(NESTED_PROGRAM)
+        fast, _, _ = _launch(binary, slow=False)
+        assert fast == _launch(binary, slow=True)[0]
+        outer, inner = binary.symbols["outer"], binary.symbols["inner"]
+        paths = binary._trace_paths
+        assert paths[inner] and paths[inner][0] == inner
+        assert paths.get(outer) == (outer, inner)
+        assert binary._trace_profile[outer] == TRACE_THRESHOLD
+        # The final pass faults inside the callee, in trace territory.
+        assert fast[-1] == ("MemoryFault",
+                            "read of 4 bytes at 0x15fffd is outside the "
+                            "address space (limit 0x160000)")
+        assert fast[3] == binary.symbols["bump"]
+
+    def test_selection_converges_over_fresh_launches(self, browser):
+        """After repeated fresh MF+HG+SS launches over a fixed WebBrowse
+        page list (exploit pages included), every head whose shared
+        profile count reached TRACE_THRESHOLD has been decided — a path
+        or a refusal — and every run matched the step loop."""
+        from repro.apps import evaluation_pages
+        from repro.redteam import all_exploits
+
+        binary = browser.stripped()
+        pages = evaluation_pages() + \
+            [exploit.page(0) for exploit in all_exploits()]
+        fast = ManagedEnvironment(binary, EnvironmentConfig.full())
+        slow = ManagedEnvironment(binary, EnvironmentConfig.full())
+        slow.extra_hooks.append(_NoOpBefore())
+        outcomes = set()
+        for _ in range(2):
+            for page in pages:
+                fast_result = fast.run(page)
+                slow_result = slow.run(page)
+                outcomes.add(fast_result.outcome)
+                assert _result_key(fast_result) == \
+                    _result_key(slow_result)
+        assert outcomes == {Outcome.COMPLETED, Outcome.FAILURE}
+        health = trace_selection_health(binary)
+        assert health["undecided"] == 0
+        assert health["published"]
+
+    def test_crossing_in_an_odd_launch_rearms_the_head(self):
+        """A head may cross TRACE_THRESHOLD in a launch whose discovery
+        order keeps it from chaining its hottest edge.  The middle launch
+        here enters the loop at ``mid``, so its ``body`` block is
+        truncated there and no longer matches the run an earlier launch
+        compiled for it.  Both loop heads cross the threshold in that
+        launch; they must heat up again instead of being refused for
+        good, so that the next ordinary launch publishes the loop's path.
+        Every launch matches the step loop."""
+        binary = assemble(REENTRY_PROGRAM)
+        body, latch = binary.symbols["body"], binary.symbols["latch"]
+        for request in (4, -40, 40):
+            fast, cpu, _ = _launch(binary, slow=False, request=request)
+            assert fast == _launch(binary, slow=True, request=request)[0]
+            assert fast[-1] is None
+            if request < 0:
+                items, index = cpu.bus.blocks[body]
+                assert len(items) - index == 2  # cut at mid
+                assert cpu._compiled[body][1] == 5
+                for head in (body, latch):
+                    retired = sum(binary._edge_profile[head].values())
+                    assert retired >= TRACE_THRESHOLD > \
+                        binary._trace_profile[head]
+                assert binary._trace_paths == {}
+        assert binary._trace_paths == {latch: (latch, body)}
+        assert cpu.trace_retired > 0
 
 
 FAULTING_STORE_PROGRAM = """
