@@ -337,9 +337,7 @@ def _cmd_community(args) -> int:
                 if record["status"] == "healthy":
                     continue
                 print(f"  [{record['status']:11s}] {record['key']} — "
-                      f"{record['successes']}s/{record['crashes']}c/"
-                      f"{record['expiries']}e/"
-                      f"{record['detector_firings']}f, "
+                      f"{record['revocations']} revocation(s), "
                       f"{record['member_kills']} member kill(s)")
             if status["revived"]:
                 print(f"revived members:   "

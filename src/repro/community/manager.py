@@ -164,13 +164,8 @@ class CommunityEnvironment:
                 self._ledger.log_remove(patch)
         held = 0
         for member in self.alive_members():
-            revoke = getattr(member, "revoke_patch", None)
             try:
-                if revoke is not None:
-                    held += 1 if revoke(patch) else 0
-                else:  # pragma: no cover - all handles implement revoke
-                    member.remove_patch(patch)
-                    held += 1
+                held += 1 if member.revoke_patch(patch) else 0
             except MemberFailure:
                 continue
         return held
@@ -434,7 +429,7 @@ class CommunityManager:
     def community_status(self) -> dict:
         """Degraded-mode report: lifecycle state per member, quorum
         health, the transport's casualty list, and the patch-health
-        ledger's surveillance summary."""
+        ledger's verdict summary."""
         states = {member.name: getattr(member, "state", "active")
                   for member in self.environment.members}
         alive = len(self.environment.alive_members())
@@ -611,16 +606,15 @@ class CommunityManager:
     def attack(self, page: bytes) -> RunResult:
         """Present an attack page to the community (round-robin member).
 
-        Post-deployment surveillance rides along: the core attributes
-        the run's terminal event to deployed patches by proximity
-        (:meth:`~repro.core.clearview.ClearView.run` folds it into the
-        patch-health ledger), and the §3.1 quarantine buffer — when
-        armed — ticks on clean completions and discards on detector
-        firings.  Member losses are *not* charged here: a member can
-        die for reasons that have nothing to do with the deployed
-        patch (churn, injected faults), and transport-level churn must
-        stay invisible to the repair decisions — candidate-induced
-        kills are charged where they can be retried and confirmed, in
+        The core (:meth:`~repro.core.clearview.ClearView.run`) judges
+        the run as evaluation feedback for the deployed repairs (§2.6),
+        and the §3.1 quarantine buffer — when armed — ticks on clean
+        completions and discards on detector firings.  Member losses
+        are *not* charged here: a member can die for reasons that have
+        nothing to do with the deployed patch (churn, injected faults),
+        and transport-level churn must stay invisible to the repair
+        decisions — candidate-induced kills are charged where they can
+        be retried and confirmed, in
         :meth:`evaluate_candidates_in_parallel`.
         """
         if self.clearview is None:
@@ -725,7 +719,7 @@ class CommunityManager:
                                f"{failure_pc:#x}")
         # Take over from the sequential evaluator: withdraw whatever trial
         # repair it had distributed before farming out the candidates
-        # (the core's removal path, so surveillance is unwound too).
+        # (the core's removal path, so the ledger records the withdrawal).
         self.clearview._remove_current_patches(session)
         guardrails = self.clearview.guardrails
         rounds = 0
@@ -844,8 +838,8 @@ class CommunityManager:
             queue[:0] = [scored for _, scored in wave
                          if any(scored is victim for victim in retry)]
             if winner is not None:
-                # Distribute the winner community-wide and open its
-                # post-deployment surveillance record.
+                # Distribute the winner community-wide and record its
+                # deployment in the patch-health ledger.
                 patches = build_repair_patch(
                     self.binary, winner.candidate, session.failure_id,
                     database=self.database)
@@ -857,7 +851,6 @@ class CommunityManager:
                 session.current_patches = patches
                 session.state = SessionState.PATCHED
                 guardrails.watch(winner.candidate.description,
-                                 session.failure_id, patches,
-                                 failure_pc=failure_pc)
+                                 session.failure_id)
                 return rounds
         return rounds

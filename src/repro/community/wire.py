@@ -153,9 +153,6 @@ def run_result_to_dict(result: RunResult) -> dict:
         "call_sites": list(result.call_sites),
         "interrupted_pc": result.interrupted_pc,
         "stats": dict(result.stats),
-        # JSON objects key by string; decode restores the int patch ids.
-        "patch_proximity": {str(patch_id): distance for patch_id, distance
-                            in result.patch_proximity.items()},
     }
 
 
@@ -172,9 +169,6 @@ def run_result_from_dict(payload: dict) -> RunResult:
             call_sites=tuple(payload.get("call_sites", ())),
             interrupted_pc=payload.get("interrupted_pc"),
             stats=dict(payload.get("stats", {})),
-            patch_proximity={
-                int(patch_id): int(distance) for patch_id, distance
-                in payload.get("patch_proximity", {}).items()},
         )
     except (KeyError, ValueError, TypeError) as error:
         raise WireError(f"malformed run result: {error}") from error

@@ -166,14 +166,10 @@ class ClearView:
         self.sink = ObservationSink()
         #: Log of (event, session failure_id) strings, for reports/tests.
         self.events: list[str] = []
-        #: Post-deployment surveillance: §2.6 scoring continues after a
-        #: repair is selected (see :mod:`repro.dynamo.guardrails`).
+        #: The verdicts reached on each repair, for reports (see
+        #: :mod:`repro.dynamo.guardrails`).
         self.guardrails = PatchHealthLedger()
         self._vetter = None
-        #: Sessions demoted during the current run's outcome dispatch —
-        #: guardrail enforcement must not charge the same terminal
-        #: event twice when the rotation re-selected the same repair.
-        self._demoted_this_run: set[int] = set()
 
     # ------------------------------------------------------------------
     # Main entry point
@@ -196,11 +192,6 @@ class ClearView:
 
         self._fold_observations(result)
         self._attribute_check_time(result, checking_at_start, elapsed)
-        # Post-deployment surveillance: attribute this run's terminal
-        # event to the patches whose anchors executed near it, *before*
-        # the outcome dispatch can rotate the watch set.
-        self.guardrails.observe_run(result)
-        self._demoted_this_run.clear()
 
         if result.outcome is Outcome.COMPLETED:
             self._on_completed(evaluating_at_start, elapsed)
@@ -209,7 +200,6 @@ class ClearView:
             self._on_failure(result, evaluating_at_start, elapsed)
         else:  # CRASH (or COMPROMISED, impossible under Memory Firewall)
             self._on_crash(evaluating_at_start, elapsed, fired_at_start)
-        self.enforce_guardrails(elapsed)
         return result
 
     def _fired_counts(self) -> dict[int, int]:
@@ -455,8 +445,7 @@ class ClearView:
         session.current_repair = best
         session.current_patches = patches
         self.guardrails.watch(best.candidate.description,
-                              session.failure_id, patches,
-                              failure_pc=session.failure_pc)
+                              session.failure_id)
         session.times.install_repairs += time.perf_counter() - install_start
         self.events.append(
             f"repair-applied {session.failure_id}: "
@@ -499,7 +488,6 @@ class ClearView:
         session.evaluator.record_failure(scored)
         session.times.unsuccessful_repair_runs += elapsed
         session.unsuccessful_runs += 1
-        self._demoted_this_run.add(session.failure_pc)
         self.events.append(f"repair-failed {session.failure_id}: {key}")
         if was_deployed:
             # A *deployed* repair turning bad is a fleet-wide
@@ -518,39 +506,6 @@ class ClearView:
                     f"repair-blacklisted {session.failure_id}: {key}")
         session.state = SessionState.EVALUATING
         self._apply_best_repair(session)
-
-    def enforce_guardrails(self, elapsed: float = 0.0) -> list[str]:
-        """Demote repairs whose health record turned bad (§2.6 cont'd).
-
-        Drains the surveillance ledger's newly-bad records; a record
-        still matching its session's current repair demotes it exactly
-        as a directly observed failure would — revocation counting,
-        flap damping, and rotation to the next candidate included.
-        Records whose repair was already rotated away (the core causal
-        path got there first) are left alone.  Returns the keys of the
-        repairs demoted here.
-        """
-        revoked: list[str] = []
-        for record in self.guardrails.newly_bad():
-            session = None
-            if record.failure_pc is not None:
-                session = self.sessions.get(record.failure_pc)
-            if session is None:
-                session = next(
-                    (candidate for candidate in self.sessions.values()
-                     if candidate.failure_id == record.failure_id), None)
-            if session is None or session.current_repair is None:
-                continue
-            if session.failure_pc in self._demoted_this_run:
-                continue  # the causal path already charged this event
-            if session.current_repair.candidate.description != record.key:
-                continue
-            if session.state not in (SessionState.EVALUATING,
-                                     SessionState.PATCHED):
-                continue
-            self._repair_failed(session, elapsed)
-            revoked.append(record.key)
-        return revoked
 
     # ------------------------------------------------------------------
     # Observation folding

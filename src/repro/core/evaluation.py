@@ -29,7 +29,7 @@ class ScoredRepair:
     successes: int = 0
     failures: int = 0
     #: Times this repair was withdrawn fleet-wide *after* deployment
-    #: (post-deployment surveillance turned its health record bad).
+    #: (it failed while deployed).
     revocations: int = 0
     #: Flap damping / toxic containment: a blacklisted repair is never
     #: selected again this session, no matter its score.

@@ -11,7 +11,6 @@ from repro.dynamo.execution import (
 )
 from repro.dynamo.guardrails import PatchHealthLedger, PatchHealthRecord
 from repro.dynamo.patches import (
-    PROXIMITY_WINDOW,
     JumpPatch,
     Patch,
     PatchManager,
@@ -30,6 +29,6 @@ __all__ = [
     "MAX_INPUT_BYTES", "EnvironmentConfig", "ManagedEnvironment",
     "Outcome", "RunResult",
     "Patch", "PatchManager", "JumpPatch", "PokePatch",
-    "PROXIMITY_WINDOW", "PatchHealthLedger", "PatchHealthRecord",
+    "PatchHealthLedger", "PatchHealthRecord",
     "ENGINE_VERSION", "SCHEMA_VERSION", "load_snapshot", "save_snapshot",
 ]

@@ -64,11 +64,6 @@ class RunResult:
     #: The pc of the instruction executing when the failure fired.
     interrupted_pc: int | None = None
     stats: dict[str, int] = field(default_factory=dict)
-    #: Patches whose anchor executed within the surveillance window of
-    #: the end of the run: ``{patch_id: instructions before the end}``.
-    #: The raw material for post-deployment blame attribution
-    #: (:mod:`repro.dynamo.guardrails`).
-    patch_proximity: dict[int, int] = field(default_factory=dict)
 
     @property
     def succeeded(self) -> bool:
@@ -156,7 +151,6 @@ class ManagedEnvironment:
         self.last_cpu: CPU | None = None
         self.last_code_cache: CodeCache | None = None
         self.last_shadow_stack: ShadowStack | None = None
-        self.last_patch_manager: PatchManager | None = None
         self._cache_snapshot = None
 
     # -- patch distribution ------------------------------------------------
@@ -235,7 +229,6 @@ class ManagedEnvironment:
         self.last_cpu = cpu
         self.last_code_cache = code_cache
         self.last_shadow_stack = shadow_stack
-        self.last_patch_manager = patch_manager
         return cpu
 
     def run(self, payload: bytes = b"") -> RunResult:
@@ -276,11 +269,8 @@ class ManagedEnvironment:
             "warmup_cost": cache.warmup_cost if cache else 0,
             "heap_allocations": cpu.heap.total_allocated,
         }
-        manager = self.last_patch_manager
-        proximity = manager.executed_near(cpu.steps) if manager else {}
         return RunResult(outcome=outcome, output=list(cpu.output),
                          steps=cpu.steps, detail=detail,
                          failure_pc=failure_pc, monitor=monitor,
                          call_stack=call_stack, call_sites=call_sites,
-                         interrupted_pc=cpu.pc, stats=stats,
-                         patch_proximity=proximity)
+                         interrupted_pc=cpu.pc, stats=stats)

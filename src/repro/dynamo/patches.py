@@ -33,12 +33,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 _patch_ids = itertools.count(1)
 
-#: Post-deployment surveillance window (§2.6 continued after deployment):
-#: a terminal event — crash, detector firing, deadline expiry — is
-#: attributed to a patch only if the patch's anchor executed within this
-#: many instructions of the end of the run.
-PROXIMITY_WINDOW = 50
-
 
 @dataclass
 class Patch:
@@ -131,11 +125,6 @@ class PatchManager(ExecutionHook):
         self._bus = None
         #: Count of patch executions, for overhead accounting.
         self.executions = 0
-        #: Step count (``cpu.steps``) at each patch's most recent
-        #: execution, for post-deployment proximity attribution
-        #: (:mod:`repro.dynamo.guardrails`).  Only touched at anchor
-        #: pcs, so tracking is free everywhere else.
-        self.last_executed_step: dict[int, int] = {}
 
     # -- bus wiring -----------------------------------------------------
 
@@ -197,21 +186,6 @@ class PatchManager(ExecutionHook):
         """Snapshot of currently applied patches."""
         return list(self._applied.values())
 
-    def executed_near(self, end_steps: int,
-                      window: int = PROXIMITY_WINDOW) -> dict[int, int]:
-        """Patches whose anchor executed within *window* steps of the end.
-
-        Returns ``{patch_id: distance}`` where distance is how many
-        instructions before ``end_steps`` the patch last executed —
-        the raw material for post-deployment blame attribution.
-        """
-        near: dict[int, int] = {}
-        for patch_id, step in self.last_executed_step.items():
-            distance = end_steps - step
-            if 0 <= distance <= window:
-                near[patch_id] = distance
-        return near
-
     def _eject(self, pc: int) -> None:
         if self.code_cache is not None:
             self.code_cache.eject_containing(pc)
@@ -224,10 +198,8 @@ class PatchManager(ExecutionHook):
         if not patches:
             return None
         redirect: int | None = None
-        steps = cpu.steps
         for patch in list(patches):
             self.executions += 1
-            self.last_executed_step[patch.patch_id] = steps
             result = patch.execute(cpu, instruction)
             if result is not None:
                 redirect = result
@@ -238,10 +210,8 @@ class PatchManager(ExecutionHook):
         patches = self._after_by_pc.get(pc)
         if not patches:
             return
-        steps = cpu.steps
         for patch in list(patches):
             self.executions += 1
-            self.last_executed_step[patch.patch_id] = steps
             result = patch.execute(cpu, instruction)
             if result is not None:
                 # The instruction has executed; redirecting means steering

@@ -61,7 +61,7 @@ class AttackResult:
     run_outcomes: list[Outcome] = field(default_factory=list)
     sessions: list[FailureSession] = field(default_factory=list)
     clearview: ClearView | None = None
-    #: Post-deployment surveillance summary (the patch-health ledger's
+    #: Verdict summary (the patch-health ledger's
     #: :meth:`~repro.dynamo.guardrails.PatchHealthLedger.report`).
     patch_health: dict = field(default_factory=dict)
 

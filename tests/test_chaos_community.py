@@ -21,7 +21,7 @@ import pytest
 from repro.apps import learning_pages
 from repro.community import CommunityManager
 from repro.core.clearview import ClearViewConfig
-from repro.dynamo import EnvironmentConfig, Outcome
+from repro.dynamo import EnvironmentConfig, Outcome, RunResult
 from repro.redteam import (
     adversarial_candidates,
     exploit,
@@ -205,7 +205,8 @@ class TestChaosConvergence:
 
 
 class TestRevocationWave:
-    def test_deployed_bad_patch_is_revoked_fleet_wide(self, make_manager):
+    def test_deployed_bad_patch_is_revoked_fleet_wide(self, make_manager,
+                                                       monkeypatch):
         """A deployed repair that later turns bad is withdrawn from
         every member in one wave; the next candidate is promoted."""
         manager = make_manager(members=3)
@@ -221,13 +222,15 @@ class TestRevocationWave:
         deployed = session.current_repair
         key = deployed.candidate.description
 
-        # Surveillance verdict arrives: the deployed patch caused a
-        # crash near its anchor.
-        record = clearview.guardrails.records[key]
-        record.crashes += 1
-        clearview.guardrails._mark_if_bad(record)
-        revoked = clearview.enforce_guardrails()
-        assert revoked == [key]
+        # The deployed repair later fails at its own location: the next
+        # presentation's run reports the failure it answers (§2.6).
+        failing = RunResult(outcome=Outcome.FAILURE, output=[], steps=0,
+                            failure_pc=failure_pc, monitor=session.monitor)
+        monkeypatch.setattr(manager.environment, "run",
+                            lambda payload: failing)
+        assert manager.attack(page) is failing
+        monkeypatch.undo()
+        assert clearview.guardrails.records[key].revocations == 1
 
         # The bad repair is off every member, its successor is on every
         # member, and the repair rotated.

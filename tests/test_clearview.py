@@ -9,7 +9,12 @@ import pytest
 
 from repro.core import ClearView, ClearViewConfig, SessionState, summarize
 from repro.core.correlation import Correlation, CorrelationConfig
-from repro.dynamo import EnvironmentConfig, ManagedEnvironment, Outcome
+from repro.dynamo import (
+    EnvironmentConfig,
+    ManagedEnvironment,
+    Outcome,
+    RunResult,
+)
 from repro.learning import learn
 from repro.vm import assemble
 
@@ -186,6 +191,108 @@ class TestRepairRotation:
                               elapsed=0.0)
         assert proven.failures == 1
         assert session.state is SessionState.EVALUATING
+
+
+def present(clearview, monkeypatch, run) -> RunResult:
+    """One attack presentation whose run is scripted by *run*."""
+    with monkeypatch.context() as scripted:
+        scripted.setattr(clearview.environment, "run", run)
+        return clearview.run(attack_page())
+
+
+def failure_at(pc: int):
+    return lambda payload: RunResult(outcome=Outcome.FAILURE, output=[],
+                                     steps=1, failure_pc=pc,
+                                     monitor="test")
+
+
+class TestOneJudge:
+    """§2.6: the core alone judges a repair, by the runs that follow
+    it.  A failure at the repair's own location fails it, a crash
+    blames the repairs whose enforcement fired, and a run the repair
+    survives is a success; the ledger only records the verdicts."""
+
+    def test_foreign_failures_never_blame_deployed_repair(
+            self, protected, monkeypatch):
+        """A detector firing at another location is a run the deployed
+        repair survived, however often it happens (311710's three
+        defects fire in turn)."""
+        binary, clearview = protected
+        for _ in range(4):
+            clearview.run(attack_page())
+        session = next(iter(clearview.sessions.values()))
+        proven = session.current_repair
+        assert session.state is SessionState.PATCHED
+        successes = proven.successes
+        foreign = binary.symbols["f1"]
+        for _ in range(3):
+            present(clearview, monkeypatch, failure_at(foreign))
+        assert session.current_repair is proven
+        assert session.state is SessionState.PATCHED
+        assert proven.failures == 0 and session.unsuccessful_runs == 0
+        assert proven.successes == successes + 3
+        record = clearview.guardrails.records[proven.candidate.description]
+        assert record.deployed and record.status == "healthy"
+        installed = {patch.description
+                     for patch in clearview.environment.patches}
+        assert proven.candidate.description in installed
+
+    def test_own_failure_revokes_deployed_repair(self, protected,
+                                                 monkeypatch):
+        """A deployed repair that fails at its own location is charged
+        once, revoked, and replaced by a never-failed successor."""
+        binary, clearview = protected
+        for _ in range(4):
+            clearview.run(attack_page())
+        session = next(iter(clearview.sessions.values()))
+        proven = session.current_repair
+        key = proven.candidate.description
+        assert session.state is SessionState.PATCHED
+        present(clearview, monkeypatch, failure_at(session.failure_pc))
+        assert proven.failures == 1 and session.unsuccessful_runs == 1
+        assert session.state is SessionState.EVALUATING
+        record = clearview.guardrails.records[key]
+        assert record.revocations == 1 and not record.deployed
+        assert record.status == "bad"
+        assert any(event.startswith("repair-revoked")
+                   for event in clearview.events)
+        successor = session.current_repair
+        assert successor is not proven and successor.never_failed
+        assert clearview.guardrails.records[
+            successor.candidate.description].deployed
+        installed = {patch.description
+                     for patch in clearview.environment.patches}
+        assert key not in installed
+        assert successor.candidate.description in installed
+
+    @pytest.mark.parametrize("state,fired,blamed", [
+        (SessionState.PATCHED, True, True),
+        (SessionState.PATCHED, False, False),
+        (SessionState.EVALUATING, True, True),
+        (SessionState.EVALUATING, False, True),
+    ], ids=["patched-fired", "patched-unfired", "evaluating-fired",
+            "evaluating-unfired"])
+    def test_crash_blames_repairs_that_fired(self, protected, monkeypatch,
+                                             state, fired, blamed):
+        """A crash blames a repair whose enforcement fired during the
+        crashed run.  With nothing fired, the fallback blames unproven
+        (EVALUATING) repairs only."""
+        binary, clearview = protected
+        for _ in range(4 if state is SessionState.PATCHED else 3):
+            clearview.run(attack_page())
+        session = next(iter(clearview.sessions.values()))
+        repair = session.current_repair
+        assert session.state is state
+
+        def crash(payload):
+            if fired:
+                session.current_patches[0].fired += 1
+            return RunResult(outcome=Outcome.CRASH, output=[], steps=1,
+                             detail="write fault")
+
+        present(clearview, monkeypatch, crash)
+        assert (repair.failures == 1) is blamed
+        assert (session.current_repair is repair) is not blamed
 
 
 class TestTimings:

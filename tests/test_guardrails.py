@@ -1,149 +1,40 @@
-"""Post-deployment surveillance: the patch-health ledger (§2.6 cont'd).
+"""The patch-health ledger: a record of repair verdicts (§2.6 cont'd).
 
-Unit coverage for :mod:`repro.dynamo.guardrails` — proximity
-attribution, verdict thresholds, flap damping — plus the end-to-end
-path: anchor-step tracking in the patch manager, ``patch_proximity`` on
-run results, and :meth:`ClearView.enforce_guardrails` demoting a
-deployed repair whose record turned bad.
+Unit coverage for :mod:`repro.dynamo.guardrails`.  The ledger decides
+nothing: the ClearView core judges repairs and the community manager
+judges candidates, and both record their verdicts here (member kills,
+toxicity, revocations, blacklisting, vetoes) for ``community_status()``
+and the CLI.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.dynamo.execution import Outcome, RunResult
+from repro.core import SessionState
+from repro.dynamo import Outcome, RunResult
 from repro.dynamo.guardrails import (
-    FIRING_THRESHOLD,
     PatchHealthLedger,
+    PatchHealthRecord,
     REVOCATION_BLACKLIST,
     TOXIC_KILLS,
 )
-from repro.dynamo.patches import (
-    JumpPatch,
-    Patch,
-    PatchManager,
-    PROXIMITY_WINDOW,
-)
+from repro.redteam import exploit
 
 
-class _FakePatch(Patch):
-    def execute(self, cpu, instruction):
-        return None
-
-
-def result(outcome, proximity=None, detail="", failure_pc=None):
-    return RunResult(outcome=outcome, output=[], steps=100, detail=detail,
-                     failure_pc=failure_pc,
-                     patch_proximity=proximity or {})
-
-
-def watched_ledger(patch_ids=(7,), failure_pc=0x40):
+def watched_ledger():
     ledger = PatchHealthLedger()
-    patches = [_FakePatch(pc=0x10, patch_id=patch_id)
-               for patch_id in patch_ids]
-    ledger.watch("repair-A", "fault@0x40", patches, failure_pc=failure_pc)
+    ledger.watch("repair-A", "fault@0x40")
     return ledger
-
-
-class TestProximityTracking:
-    def test_executed_near_window(self):
-        manager = PatchManager()
-        manager.last_executed_step = {1: 10, 2: 80, 3: 200}
-        near = manager.executed_near(100, window=PROXIMITY_WINDOW)
-        assert near == {2: 20}  # 1 is 90 steps away, 3 is in the future
-
-    def test_proximity_flows_into_run_result(self, browser):
-        """A patch that executes near the end of a run is attributed in
-        ``RunResult.patch_proximity``; distant patches are not."""
-        from repro.dynamo.execution import ManagedEnvironment
-        from repro.apps import learning_pages
-
-        environment = ManagedEnvironment(browser.stripped())
-        page = learning_pages()[0]
-        baseline = environment.run(page)
-        # Anchor a no-op patch at the entry point: it executes at step
-        # ~0, thousands of steps before the run ends.
-        patch = _FakePatch(pc=0x0, description="entry no-op")
-        environment.install_patch(patch)
-        run = environment.run(page)
-        assert run.outcome is baseline.outcome
-        assert patch.patch_id not in run.patch_proximity
-
-
-class TestAttribution:
-    def test_crash_near_anchor_turns_bad(self):
-        ledger = watched_ledger()
-        turned = ledger.observe_run(result(Outcome.CRASH,
-                                           proximity={7: 3},
-                                           detail="write fault"))
-        assert [record.key for record in turned] == ["repair-A"]
-        record = ledger.records["repair-A"]
-        assert record.crashes == 1 and record.bad
-        assert record.status == "bad"
-
-    def test_step_budget_expiry_classified_separately(self):
-        ledger = watched_ledger()
-        ledger.observe_run(result(
-            Outcome.CRASH, proximity={7: 0},
-            detail="[pc=0x10] exceeded 200000 steps"))
-        record = ledger.records["repair-A"]
-        assert record.expiries == 1 and record.crashes == 0
-        assert record.bad
-
-    def test_distant_crash_not_attributed(self):
-        ledger = watched_ledger()
-        turned = ledger.observe_run(result(Outcome.CRASH, proximity={}))
-        assert turned == []
-        assert ledger.records["repair-A"].crashes == 0
-
-    def test_firing_at_own_pc_not_charged(self):
-        """A detector firing at the repair's own failure pc is the §2.6
-        causal path's business (repair failed), not a *new* failure."""
-        ledger = watched_ledger(failure_pc=0x40)
-        ledger.observe_run(result(Outcome.FAILURE, proximity={7: 1},
-                                  failure_pc=0x40))
-        assert ledger.records["repair-A"].detector_firings == 0
-
-    def test_foreign_firings_need_threshold(self):
-        ledger = watched_ledger(failure_pc=0x40)
-        for _ in range(FIRING_THRESHOLD - 1):
-            turned = ledger.observe_run(result(
-                Outcome.FAILURE, proximity={7: 1}, failure_pc=0x99))
-            assert turned == []
-        turned = ledger.observe_run(result(
-            Outcome.FAILURE, proximity={7: 1}, failure_pc=0x99))
-        assert [record.key for record in turned] == ["repair-A"]
-
-    def test_successes_counted_not_bad(self):
-        ledger = watched_ledger()
-        for _ in range(5):
-            ledger.observe_run(result(Outcome.COMPLETED,
-                                      proximity={7: 10}))
-        record = ledger.records["repair-A"]
-        assert record.successes == 5 and not record.bad
-        assert record.status == "healthy"
-
-    def test_unwatched_record_not_charged(self):
-        ledger = watched_ledger()
-        ledger.unwatch("repair-A")
-        ledger.observe_run(result(Outcome.CRASH, proximity={7: 1}))
-        assert ledger.records["repair-A"].crashes == 0
-
-    def test_newly_bad_reported_once(self):
-        ledger = watched_ledger()
-        ledger.observe_run(result(Outcome.CRASH, proximity={7: 1}))
-        assert [r.key for r in ledger.newly_bad()] == ["repair-A"]
-        ledger.observe_run(result(Outcome.CRASH, proximity={7: 1}))
-        assert ledger.newly_bad() == []
 
 
 class TestLifecycleVerdicts:
     def test_member_kill_creates_record(self):
         ledger = PatchHealthLedger()
-        turned = ledger.record_member_kill("cand-X", ["node-1"],
-                                           failure_id="fault@0x40")
-        assert turned  # one kill already makes the record bad
+        ledger.record_member_kill("cand-X", ["node-1"],
+                                  failure_id="fault@0x40")
         record = ledger.records["cand-X"]
+        # One kill already makes the record bad.
+        assert record.bad
+        assert record.status == "bad"
         assert record.member_kills == 1
         assert record.killed_members == ("node-1",)
 
@@ -154,13 +45,17 @@ class TestLifecycleVerdicts:
         assert ledger.records["cand-X"].member_kills == 2
         assert ledger.records["cand-X"].member_kills >= TOXIC_KILLS
 
-    def test_revocations_blacklist_at_threshold(self):
+    def test_revocations_counted_not_judged(self):
+        """Flap damping is the core's verdict: ``_repair_failed``
+        blacklists and records it; counting revocations does not."""
         ledger = watched_ledger()
         for count in range(1, REVOCATION_BLACKLIST + 1):
             assert ledger.record_revocation("repair-A") == count
         record = ledger.records["repair-A"]
-        assert record.blacklisted
         assert not record.deployed
+        assert not record.blacklisted
+        assert record.status == "bad"
+        ledger.record_blacklist("repair-A")
         assert record.status == "blacklisted"
 
     def test_toxic_record_created_on_demand(self):
@@ -172,7 +67,6 @@ class TestLifecycleVerdicts:
 
     def test_report_summarizes(self):
         ledger = watched_ledger()
-        ledger.observe_run(result(Outcome.CRASH, proximity={7: 1}))
         ledger.record_revocation("repair-A")
         ledger.record_toxic("cand-Y")
         report = ledger.report()
@@ -185,74 +79,93 @@ class TestLifecycleVerdicts:
             {"repair-A", "cand-Y"}
 
 
-class TestEnforcement:
-    """ClearView-level: a deployed repair's record turning bad demotes
-    it through the ordinary §2.6 rotation."""
+class TestRecords:
+    def test_redeployment_keeps_history(self):
+        ledger = watched_ledger()
+        ledger.record_revocation("repair-A")
+        ledger.watch("repair-A", "fault@0x40")
+        record = ledger.records["repair-A"]
+        assert record.deployed and record.revocations == 1
+        assert record.status == "bad"
+        ledger.unwatch("repair-A")
+        assert not record.deployed and record.revocations == 1
+        assert ledger.report()["watched"] == 0
 
-    def _protected(self, prepared_exercise):
-        from repro.redteam import exploit
+    def test_unknown_repairs_are_not_recorded(self):
+        """Revocation and blacklisting follow a deployment: for a repair
+        the ledger never saw deployed they record nothing."""
+        ledger = PatchHealthLedger()
+        assert ledger.record_revocation("ghost") == 0
+        ledger.record_blacklist("ghost")
+        ledger.unwatch("ghost")
+        assert ledger.records == {}
+
+    def test_veto_blacklists_without_kills(self):
+        ledger = PatchHealthLedger()
+        ledger.record_vetoed("cand-V", "fault@0x40", rules=("progress",))
+        ledger.record_vetoed("cand-V", rules=("progress", "stack"))
+        record = ledger.records["cand-V"]
+        assert record.vetoed and record.blacklisted
+        assert record.veto_rules == ("progress", "stack")
+        assert record.member_kills == 0 and not record.bad
+        assert record.status == "vetoed"
+        assert ledger.report()["vetoed"] == 1
+
+    def test_status_precedence(self):
+        """The report shows a record's strongest verdict."""
+        record = PatchHealthRecord(key="repair-A", failure_id="fault@0x40")
+        statuses = [record.status]
+        for verdict in ("revocations", "blacklisted", "toxic", "vetoed"):
+            setattr(record, verdict, True)
+            statuses.append(record.status)
+        assert statuses == ["healthy", "bad", "blacklisted", "toxic",
+                            "vetoed"]
+
+
+class TestCoreVerdicts:
+    """Browser scale: the ledger follows the verdicts the §2.6 core
+    reaches on a deployed repair."""
+
+    def test_revocation_recorded_and_attack_reblocked(self,
+                                                      prepared_exercise,
+                                                      monkeypatch):
         clearview = prepared_exercise._clearview()
         attack = exploit("gc-collect")
+        session = None
         for _ in range(6):
-            run = clearview.run(attack.page())
+            clearview.run(attack.page())
             session = next(iter(clearview.sessions.values()), None)
-            if session is not None and session.state.value == "patched":
-                return clearview, session, attack
-        raise AssertionError("exploit never got patched")
+            if session is not None and \
+                    session.state is SessionState.PATCHED:
+                break
+        assert session is not None and session.state is SessionState.PATCHED
+        revoked = session.current_repair
+        key = revoked.candidate.description
+        assert clearview.guardrails.report()["watched"] == 1
 
-    def test_bad_record_demotes_deployed_repair(self, prepared_exercise):
-        clearview, session, attack = self._protected(prepared_exercise)
-        deployed = session.current_repair
-        key = deployed.candidate.description
+        # The deployed repair fails at its own location.
+        failing = RunResult(outcome=Outcome.FAILURE, output=[], steps=0,
+                            failure_pc=session.failure_pc,
+                            monitor=session.monitor)
+        with monkeypatch.context() as scripted:
+            scripted.setattr(clearview.environment, "run",
+                             lambda payload: failing)
+            clearview.run(attack.page())
         record = clearview.guardrails.records[key]
-        assert record.deployed
-        record.crashes += 1
-        clearview.guardrails._mark_if_bad(record)
-        assert clearview.enforce_guardrails() == [key]
-        assert deployed.failures >= 1
-        assert session.current_repair is not deployed
-        assert not record.deployed
-        # Rotation re-triggered selection: the successor has never
-        # failed and is installed in the environment.
-        assert session.current_repair.never_failed
-        installed = {patch.description
-                     for patch in clearview.environment.patches}
-        assert key not in installed
+        assert record.revocations == 1 and not record.deployed
+        assert record.status == "bad"
 
-    def test_stale_record_is_ignored(self, prepared_exercise):
-        """A record whose repair was already rotated away must not
-        demote the (innocent) successor."""
-        clearview, session, attack = self._protected(prepared_exercise)
-        deployed = session.current_repair
-        key = deployed.candidate.description
-        record = clearview.guardrails.records[key]
-        record.crashes += 1
-        clearview.guardrails._mark_if_bad(record)
-        # The causal path rotates first (same terminal event).
-        clearview._repair_failed(session, 0.0)
-        successor = session.current_repair
-        clearview._demoted_this_run.clear()
-        assert clearview.enforce_guardrails() == []
-        assert session.current_repair is successor
-        assert successor.never_failed
-
-    def test_guardrail_demotion_survives_reprotection(self,
-                                                     prepared_exercise):
-        """After demotion the community still converges: subsequent
-        attacks are blocked and a healthy repair ends up deployed."""
-        from repro.dynamo import Outcome
-
-        clearview, session, attack = self._protected(prepared_exercise)
-        deployed = session.current_repair
-        record = clearview.guardrails.records[
-            deployed.candidate.description]
-        record.crashes += 1
-        clearview.guardrails._mark_if_bad(record)
-        clearview.enforce_guardrails()
+        # Real attacks again: a successor is deployed and blocks them.
         outcomes = []
         for _ in range(6):
             outcomes.append(clearview.run(attack.page()).outcome)
             if outcomes[-1] is Outcome.COMPLETED:
                 break
         assert outcomes[-1] is Outcome.COMPLETED
-        assert session.current_repair is not deployed
+        assert session.state is SessionState.PATCHED
+        successor = session.current_repair
+        assert successor is not revoked
+        assert clearview.guardrails.records[
+            successor.candidate.description].status == "healthy"
+        report = clearview.guardrails.report()
+        assert report["watched"] == 1 and report["revocations"] == 1

@@ -1,8 +1,10 @@
 """Integration tests: the full Red Team exercise (§4).
 
-The complete Table 1 sweep lives in the benchmark harness; here a
-representative subset keeps the suite fast while covering every exercise
-phase and both §4.3.2 reconfiguration stories.
+The complete Table 1-3 sweeps live in the benchmark harness; here a
+golden repair table covers the whole roster (presentations, and the
+repair each failure session ends on), and a representative subset
+covers every other exercise phase and both §4.3.2 reconfiguration
+stories.
 """
 
 from __future__ import annotations
@@ -14,31 +16,65 @@ from repro.core.repair import RepairAction
 from repro.dynamo import Outcome
 from repro.redteam import RedTeamExercise, exploit
 
+PATCHED, EVALUATING = SessionState.PATCHED, SessionState.EVALUATING
+
+#: Golden repair table.  Each roster exploit is attacked in its
+#: documented configuration (``_for_defect``) for up to 20 presentations.
+#: A row pins the presentation that survived and, per failure session in
+#: pc order, the final state, the deployed repair and its unsuccessful
+#: repair runs (Table 3's column).  Table 1 counts presentations only;
+#: this pins which repair each session ends on.  311710 (neg-index) ends
+#: on the index lower bound at all three defects, with no unsuccessful
+#: runs: a repair is never blamed for the next defect firing.
+GOLDEN_REPAIRS = [
+    ("js-type-1", 4, [
+        (PATCHED, "if !(0x1030:target in {4992}) then "
+                  "0x1030:target = 4992", 0)]),
+    ("gc-collect", 4, [
+        (PATCHED, "if !(0x1170:target in {4992}) then "
+                  "0x1170:target = 4992", 0)]),
+    ("neg-strlen", 4, [
+        (PATCHED, "if !(3 <= 0x2410:value) then 0x2410:value = 3", 0)]),
+    ("js-type-2", 5, [
+        (PATCHED, "skip call unless 0x10d0:target in {5248}", 1)]),
+    ("mm-reuse-1", 6, [
+        (PATCHED, "return from procedure unless 0x1220:target in {5104}",
+         2)]),
+    ("mm-reuse-2", 6, [
+        (PATCHED, "return from procedure unless 0x1300:target in {5104}",
+         2)]),
+    ("gif-sign", 4, [
+        (PATCHED, "if !(0 <= 0x15a0:value) then 0x15a0:value = 0", 0)]),
+    ("int-overflow", 4, [
+        (PATCHED, "if !(0x1d20:dst <= 0x1cd0:dst) then "
+                  "0x1d20:dst = 0x1cd0:dst", 0)]),
+    ("neg-index", 12, [
+        (PATCHED, "if !(1000 <= 0x20a0:value) then 0x20a0:value = 1000",
+         0),
+        (PATCHED, "if !(1000 <= 0x21c0:value) then 0x21c0:value = 1000",
+         0),
+        (PATCHED, "if !(1000 <= 0x22e0:value) then 0x22e0:value = 1000",
+         0)]),
+    ("soft-hyphen", None, [
+        (EVALUATING, "if !(1 <= 0x19b0:dst) then 0x19b0:dst = 1", 17)]),
+]
+
 
 class TestSingleVariantAttacks:
-    @pytest.mark.parametrize("defect_id,expected", [
-        ("js-type-1", 4),
-        ("gc-collect", 4),
-        ("neg-strlen", 4),
-        ("js-type-2", 5),
-        ("mm-reuse-1", 6),
-    ])
+    @pytest.mark.parametrize(
+        "defect_id,expected,sessions", GOLDEN_REPAIRS,
+        ids=[f"{defect_id}-{expected}"
+             for defect_id, expected, _ in GOLDEN_REPAIRS])
     def test_presentations_match_table1(self, prepared_exercise,
-                                        defect_id, expected):
-        result = prepared_exercise.attack(exploit(defect_id),
-                                          max_presentations=10)
+                                        defect_id, expected, sessions):
+        attack = exploit(defect_id)
+        result = prepared_exercise._for_defect(attack).attack(
+            attack, max_presentations=20)
         assert result.all_blocked
         assert result.survived_at == expected
-
-    def test_neg_index_three_sequential_defects(self, prepared_exercise):
-        """311710: three copy-pasted defects patched in sequence, four
-        presentations each."""
-        result = prepared_exercise.attack(exploit("neg-index"),
-                                          max_presentations=16)
-        assert result.survived_at == 12
-        assert len(result.sessions) == 3
-        assert all(session.state is SessionState.PATCHED
-                   for session in result.sessions)
+        assert [(session.state, session.current_repair.candidate.description,
+                 session.unsuccessful_runs)
+                for session in result.sessions] == sessions
 
     def test_mm_reuse_third_patch_is_return(self, prepared_exercise):
         """269095: the successful patch is return-from-procedure, after

@@ -240,7 +240,7 @@ class TestLateFailureProperties:
         for _ in range(rng.randrange(1, 50)):
             evaluator.record_success(deployed)
         assert evaluator.best() is deployed
-        # ...then one late failure (post-deployment surveillance).
+        # ...then one late failure while deployed.
         evaluator.record_failure(deployed)
         ranking = evaluator.ranking()
         demoted_at = ranking.index(deployed)
