@@ -346,10 +346,8 @@ def _cmd_community(args) -> int:
             for kind, total in \
                     sorted(manager.bus.bytes_by_kind().items()):
                 print(f"  {kind:24s} {total}")
-            on_wire = getattr(manager.bus, "wire_bytes_total", None)
-            if on_wire is not None:
-                print(f"channel bytes:     {on_wire()} (frames on the "
-                      f"wire, length prefixes included)")
+            print(f"channel bytes:     {manager.bus.wire_bytes_total()} "
+                  f"(frames on the wire, length prefixes included)")
             return 0 if (outcome is Outcome.COMPLETED and immune == alive) \
                 else 1
     finally:
@@ -480,9 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     community_parser.add_argument(
         "--transport", choices=("in-process", "process", "socket"),
         default="in-process",
-        help="member substrate: simulated in-process, one OS process "
-             "per member over a socketpair, or socket members speaking "
-             "the multi-host wire protocol")
+        help="member substrate: in this process over loopback "
+             "channels, one OS process per member over a socketpair, or "
+             "socket members speaking the multi-host wire protocol")
     community_parser.add_argument(
         "--listen", metavar="HOST:PORT", default=None,
         help="with --transport socket: wait for externally launched "

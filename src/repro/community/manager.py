@@ -11,12 +11,13 @@ Coordinates learning and repair across member machines:
 - **Parallel repair evaluation** (§3.1): candidate repairs can be farmed
   out to different members and evaluated in one round.
 
-The manager is transport-generic: every member interaction goes through
-a handle (:mod:`repro.community.members`), so the same code drives the
-in-process simulation (``transport="in-process"``, the default), real
-per-member worker processes (``transport="process"``,
-:mod:`repro.community.sharding`), and multi-host socket members with
-optional TLS (``transport="socket"``,
+The manager is transport-generic: every member is a
+:class:`~repro.community.remote.ChannelMember` its transport spawned,
+driven through one command set whose worker side is one handler, so the
+same code drives in-process members (``transport="in-process"``, the
+default, over a loopback channel), real per-member worker processes
+(``transport="process"``, :mod:`repro.community.sharding`), and
+multi-host socket members with optional TLS (``transport="socket"``,
 :mod:`repro.community.remote`).  Members a transport drops mid-episode
 are excluded and their outstanding work re-sharded across the survivors.
 
@@ -33,16 +34,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cfg.discovery import DiscoveryPlugin, ProcedureDatabase
-from repro.community.members import LocalMember, MemberFailure
-from repro.community.node import CommunityNode
-from repro.community.remote import SocketTransport
+from repro.community import wire
+from repro.community.members import MemberFailure
+from repro.community.remote import (
+    ChannelTransport,
+    LoopbackTransport,
+    SocketTransport,
+)
 from repro.community.sharding import ProcessTransport
 from repro.community.strategies import (
     overlapping_assignments,
     partition_random,
     partition_round_robin,
 )
-from repro.community.transport import MessageBus
 from repro.core.clearview import ClearView, ClearViewConfig, SessionState
 from repro.core.repair import build_repair_patch
 from repro.dynamo.execution import (
@@ -70,30 +74,22 @@ class CommunityEnvironment:
     ClearView core, but fans patches out to every member and runs inputs
     on members round-robin.
 
-    Accepts member handles (or bare :class:`CommunityNode` instances,
-    which are wrapped in :class:`LocalMember`).  Members that fail
-    mid-command are dropped transparently: runs fail over to the next
-    live member, and patch fan-out skips the casualty."""
+    Reads its membership from the transport: ``members`` is the
+    transport's own list, so a member the transport admits later (a
+    rejoiner or a new arrival) is in every wave from then on.  Members
+    that fail mid-command are dropped transparently: runs fail over to
+    the next live member, and patch fan-out skips the casualty."""
 
-    def __init__(self, members: list):
-        if not members:
+    def __init__(self, transport: ChannelTransport):
+        if not transport.members:
             raise ValueError("a community needs at least one member")
-        self.members = [member if not isinstance(member, CommunityNode)
-                        else LocalMember(member)
-                        for member in members]
+        self.transport = transport
         self.patches: list[Patch] = []
         self._next = 0
-        # The transport's patch ledger doubles as the rejoin journal:
-        # community-wide installs/removes are epoch-logged there so a
-        # dropped member can catch up on exactly what it missed.  The
-        # in-process bus has no ledger (and nothing ever rejoins).
-        self._ledger = None
-        for member in self.members:
-            ledger = getattr(getattr(member, "_transport", None),
-                             "ledger", None)
-            if ledger is not None:
-                self._ledger = ledger
-                break
+
+    @property
+    def members(self) -> list:
+        return self.transport.members
 
     @property
     def binary(self) -> Binary:
@@ -122,11 +118,15 @@ class CommunityEnvironment:
         return member.run(payload)
 
     def install_patch(self, patch: Patch) -> None:
+        # A patch the wire codec cannot ship must be refused before it
+        # reaches the patch list or the transport's ledger, which is
+        # also the rejoin journal a catch-up replays.
+        wire.patch_to_dict(patch)
         if not self.alive_members():
             raise CommunityError("no live members left to patch")
         self.patches.append(patch)
-        if self._ledger is not None:
-            self._ledger.log_install(patch)
+        ledger = self.transport.ledger
+        ledger.log_install(patch)
         for member in self.alive_members():
             try:
                 member.install_patch(patch)
@@ -135,14 +135,12 @@ class CommunityEnvironment:
         if not self.alive_members():
             # Every member died during fan-out: the patch reached no one.
             self.patches.remove(patch)
-            if self._ledger is not None:
-                self._ledger.log_remove(patch)
+            ledger.log_remove(patch)
             raise CommunityError("no live members left to patch")
 
     def remove_patch(self, patch: Patch) -> None:
         self.patches.remove(patch)
-        if self._ledger is not None:
-            self._ledger.log_remove(patch)
+        self.transport.ledger.log_remove(patch)
         for member in self.alive_members():
             try:
                 member.remove_patch(patch)
@@ -160,8 +158,7 @@ class CommunityEnvironment:
         """
         if patch in self.patches:
             self.patches.remove(patch)
-            if self._ledger is not None:
-                self._ledger.log_remove(patch)
+            self.transport.ledger.log_remove(patch)
         held = 0
         for member in self.alive_members():
             try:
@@ -214,11 +211,6 @@ class CommunityEnvironment:
         members = self.alive_members()
         if not members:
             raise CommunityError("no live members left to probe")
-        if not hasattr(members[0], "has_capacity"):
-            # In-process members execute synchronously; the round-robin
-            # assignment below would produce the same results slower.
-            return [members[index % len(members)].probe(payload)
-                    for index, payload in enumerate(payloads)]
         results: list[RunResult | None] = [None] * len(payloads)
         queues = {member.name: [] for member in members}
         inflight = {member.name: [] for member in members}
@@ -296,31 +288,35 @@ class DistributedLearningReport:
 class CommunityManager:
     """The centralized server coordinating a WebBrowse community.
 
-    ``transport`` selects the community substrate:
+    ``transport`` selects the community substrate, always a
+    :class:`~repro.community.remote.ChannelTransport` whose ``spawn``
+    creates every member:
 
-    - ``"in-process"`` (default): members simulated in this process on a
-      :class:`MessageBus` — cheap, single-core.
+    - ``"in-process"`` (default): members run in this process behind
+      loopback channels (:class:`LoopbackTransport`) — cheap,
+      single-core, deterministic.
     - ``"process"``: one OS process per member via
-      :class:`ProcessTransport` — real serialization, real parallelism.
+      :class:`ProcessTransport` — real parallelism.
     - ``"socket"``: one OS process per member dialing a loopback TCP
       listener via :class:`SocketTransport` — the multi-host wire
       protocol (construct a :class:`SocketTransport` directly for TLS
       or externally launched members).
-    - any :class:`MessageBus`, :class:`ProcessTransport`, or
-      :class:`SocketTransport` instance, for callers managing transport
-      lifetime themselves.
+    - any :class:`ChannelTransport` instance, for callers managing
+      transport lifetime themselves.
 
-    Channel transports own worker processes: call :meth:`close` (or use
-    the manager as a context manager) when done.
+    ``members`` is the transport's member list, so members it admits
+    later (rejoiners, new arrivals) count everywhere the manager reports
+    per member.  Call :meth:`close` (or use the manager as a context
+    manager) when done: the process and socket transports own worker
+    processes.
     """
 
-    _TRANSPORTS = {"in-process": MessageBus, "process": ProcessTransport,
-                   "socket": SocketTransport}
+    _TRANSPORTS = {"in-process": LoopbackTransport,
+                   "process": ProcessTransport, "socket": SocketTransport}
 
     def __init__(self, binary: Binary, members: int = 4,
                  config: EnvironmentConfig | None = None,
-                 transport: "str | MessageBus | ProcessTransport | "
-                            "SocketTransport | None" = None,
+                 transport: "str | ChannelTransport | None" = None,
                  worker_timeout: float | None = None,
                  min_members: int = 1,
                  reshard_budget: int | None = None,
@@ -354,33 +350,27 @@ class CommunityManager:
                 raise ValueError(
                     f"unknown transport {transport!r}; choose "
                     f"'in-process', 'process', or 'socket'")
-            if factory is MessageBus:
-                transport = MessageBus()
-            else:
-                # worker_timeout is the caller's hang-detection budget
-                # for *every* command, learning shards included;
-                # construct a transport instance directly to tune the
-                # per-op deadline table independently.
-                kwargs = {}
-                if worker_timeout is not None:
-                    kwargs["timeout"] = worker_timeout
-                    kwargs["learn_timeout"] = worker_timeout
-                if heartbeat_interval is not None:
-                    kwargs["heartbeat_interval"] = heartbeat_interval
-                transport = factory(**kwargs)
+            # worker_timeout is the caller's hang-detection budget for
+            # *every* command, learning shards included; construct a
+            # transport instance directly to tune the per-op deadline
+            # table independently.
+            kwargs = {}
+            if worker_timeout is not None:
+                kwargs["timeout"] = worker_timeout
+                kwargs["learn_timeout"] = worker_timeout
+            if heartbeat_interval is not None:
+                kwargs["heartbeat_interval"] = heartbeat_interval
+            transport = factory(**kwargs)
+        if not isinstance(transport, ChannelTransport):
+            raise TypeError(f"transport must be 'in-process', 'process', "
+                            f"'socket' or a ChannelTransport, not "
+                            f"{type(transport).__name__}")
         self.transport = transport
         #: Accounting alias: every transport exposes the MessageBus API.
         self.bus = transport
-
-        names = [f"node-{index}" for index in range(members)]
-        if hasattr(transport, "spawn"):
-            self.nodes: list[CommunityNode] = []
-            self.members = transport.spawn(self.binary, self.config, names)
-        else:
-            self.nodes = [CommunityNode(name, self.binary, transport,
-                                        self.config) for name in names]
-            self.members = [LocalMember(node) for node in self.nodes]
-        self.environment = CommunityEnvironment(self.members)
+        transport.spawn(self.binary, self.config,
+                        [f"node-{index}" for index in range(members)])
+        self.environment = CommunityEnvironment(transport)
         self.database: InvariantDatabase | None = None
         self.procedures: ProcedureDatabase | None = None
         self.clearview: ClearView | None = None
@@ -400,24 +390,24 @@ class CommunityManager:
     # ------------------------------------------------------------------
 
     @property
-    def dropped_members(self) -> list:
-        """Members the transport dropped (process transport only)."""
-        return list(getattr(self.transport, "dropped", ()))
+    def members(self) -> list:
+        """The transport's member list (one list for the whole
+        community)."""
+        return self.transport.members
 
-    def _refresh_membership(self) -> list:
+    @property
+    def dropped_members(self) -> list:
+        """Members the transport dropped."""
+        return list(self.transport.dropped)
+
+    def _refresh_membership(self) -> None:
         """Wave-edge lifecycle sweep: admit any members that rejoined
         (or newly arrived) since the last wave, and run a heartbeat
         pass so wedged-idle members are evicted *before* work is
-        scattered onto them.  Returns the members admitted."""
-        admitted = self.transport.poll_rejoins()
-        for member in admitted:
-            if member not in self.environment.members:
-                # A genuinely new arrival (accept_external), not a
-                # revival of a member the environment already tracks.
-                self.environment.members.append(member)
+        scattered onto them."""
+        self.transport.poll_rejoins()
         if self.transport.heartbeat_interval is not None:
             self.transport.heartbeat()
-        return admitted
 
     def _require_quorum(self, context: str) -> None:
         alive = len(self.environment.alive_members())
@@ -430,8 +420,7 @@ class CommunityManager:
         """Degraded-mode report: lifecycle state per member, quorum
         health, the transport's casualty list, and the patch-health
         ledger's verdict summary."""
-        states = {member.name: getattr(member, "state", "active")
-                  for member in self.environment.members}
+        states = {member.name: member.state for member in self.members}
         alive = len(self.environment.alive_members())
         health = (self.clearview.guardrails.report()
                   if self.clearview is not None
@@ -439,20 +428,19 @@ class CommunityManager:
         return {
             "members": states,
             "alive": alive,
-            "total": len(self.environment.members),
+            "total": len(self.members),
             "min_members": self.min_members,
             "quorum": alive >= self.min_members,
-            "degraded": alive < len(self.environment.members),
-            "dropped": [dropped.name for dropped in
-                        getattr(self.transport, "dropped", ())],
+            "degraded": alive < len(self.members),
+            "dropped": [dropped.name for dropped in self.transport.dropped],
             "patch_health": health,
             "revived": list(self.revived),
         }
 
     def close(self) -> None:
-        """Tear down transport resources (worker processes) — only for
-        transports this manager constructed; caller-provided instances
-        are left running for the caller to close."""
+        """Tear down transport resources (members, worker processes) —
+        only for transports this manager constructed; caller-provided
+        instances are left running for the caller to close."""
         if self._owns_transport:
             self.transport.close()
 
@@ -768,11 +756,9 @@ class CommunityManager:
             guardrails.record_toxic(key, failure_id=session.failure_id)
             self.clearview.events.append(
                 f"candidate-toxic {session.failure_id}: {key}")
-            respawn = getattr(self.transport, "respawn", None)
-            if respawn is not None:
-                for victim in victims:
-                    if not victim.alive and respawn(victim):
-                        self.revived.append(victim.name)
+            for victim in victims:
+                if not victim.alive and self.transport.respawn(victim):
+                    self.revived.append(victim.name)
             return False
 
         while queue:

@@ -1,36 +1,17 @@
-"""Member handles: the manager's transport-generic view of one machine.
+"""What the manager's member handles share on every transport.
 
-The :class:`~repro.community.manager.CommunityManager` never talks to a
-member's execution environment directly any more — it drives a *handle*
-exposing the node-manager command set (learn a shard, run an input,
-install or remove a patch, evaluate a candidate repair).  Two handle
-families implement it:
-
-- :class:`LocalMember` wraps an in-process
-  :class:`~repro.community.node.CommunityNode` and calls it directly —
-  the original single-process simulation, byte-for-byte.
-- :class:`~repro.community.remote.ChannelMember` proxies the same
-  commands over a deadline-framed channel to a worker process — an
-  anonymous socketpair (:class:`~repro.community.sharding.ProcessMember`)
-  or a TCP/TLS connection
-  (:class:`~repro.community.remote.SocketTransport`).
-
-Every command is split into ``start_*`` / ``finish_*`` halves so the
-manager can scatter a command to many members before gathering any
-result: on the channel transports the workers genuinely overlap (and
-each accepts a bounded pipeline of in-flight commands), while a local
-member simply executes during ``start_*`` — preserving the exact
-sequential semantics the in-process community always had.
+Every member — in-process, process-sharded, or socket — is a
+:class:`~repro.community.remote.ChannelMember` the transport spawned;
+this module holds the two pieces of its contract that the rest of the
+community imports without the channel machinery: the exception a
+failed command raises, and the transport-independent summary of an
+applied patch.
 """
 
 from __future__ import annotations
 
-from repro.community.node import CommunityNode, NodeStats
-from repro.dynamo.execution import RunResult
 from repro.dynamo.patches import Patch
 from repro.errors import CommunityError
-from repro.learning.database import InvariantDatabase
-from repro.vm.binary import Binary
 
 
 class MemberFailure(CommunityError):
@@ -43,10 +24,11 @@ class MemberFailure(CommunityError):
     commands is caught the same way by the heartbeat prober's ping
     deadline), ``"malformed"`` (reply was not decodable protocol),
     ``"handshake"`` (a socket member never established its — possibly
-    TLS — channel), or ``"error"`` (worker reported a command
-    failure).  A dropped socket member is not necessarily gone for
-    good: it may reconnect and be re-admitted through the transport's
-    rejoin path (``SocketTransport.poll_rejoins``).
+    TLS — channel), or ``"error"`` (the member reported a command
+    failure, with its text; the only reason an in-process member can
+    give).  A dropped socket member is not necessarily gone for good:
+    it may reconnect and be re-admitted through the transport's rejoin
+    path (``SocketTransport.poll_rejoins``).
     """
 
     def __init__(self, member: str, reason: str, detail: str = ""):
@@ -62,9 +44,9 @@ class MemberFailure(CommunityError):
 def patch_summary(patch: Patch) -> dict:
     """Transport-independent description of one applied patch.
 
-    Both handle families report applied patches in this shape, so the
-    differential suite can assert the sharded community distributed
-    exactly the patch set the in-process one did.
+    Members report applied patches in this shape, so the differential
+    suite can assert the sharded community distributed exactly the
+    patch set the in-process one did.
     """
     return {
         "type": type(patch).__name__,
@@ -73,95 +55,3 @@ def patch_summary(patch: Patch) -> dict:
         "failure_id": patch.failure_id,
         "description": patch.description,
     }
-
-
-class LocalMember:
-    """Handle over an in-process :class:`CommunityNode`."""
-
-    def __init__(self, node: CommunityNode):
-        self.node = node
-        self.alive = True
-        #: Lifecycle parity with ChannelMember: an in-process member is
-        #: born active and can neither wedge nor rejoin.
-        self.state = "active"
-        self._learned: tuple[InvariantDatabase, int] | None = None
-        self._evaluated: RunResult | None = None
-        self._probed: RunResult | None = None
-
-    @property
-    def name(self) -> str:
-        return self.node.name
-
-    @property
-    def binary(self) -> Binary:
-        return self.node.binary
-
-    # -- learning ------------------------------------------------------
-
-    def start_learn_shard(self, pages: list[bytes],
-                          procedures: set[int] | None,
-                          pair_scope: str) -> None:
-        self._learned = self.node.learn_shard(pages, procedures,
-                                              pair_scope)
-
-    def finish_learn_shard(self) -> tuple[InvariantDatabase, int]:
-        assert self._learned is not None, "no learn shard in flight"
-        learned, self._learned = self._learned, None
-        return learned
-
-    # -- running -------------------------------------------------------
-
-    def run(self, payload: bytes) -> RunResult:
-        """One protected run; failures are reported to the server."""
-        return self.node.run(payload)
-
-    def probe(self, payload: bytes) -> RunResult:
-        """One run *without* failure reporting (immunity sweeps)."""
-        return self.node.environment.run(payload)
-
-    def start_probe(self, payload: bytes) -> None:
-        self._probed = self.probe(payload)
-
-    def finish_probe(self) -> RunResult:
-        assert self._probed is not None, "no probe in flight"
-        result, self._probed = self._probed, None
-        return result
-
-    # -- patch management ----------------------------------------------
-
-    def install_patch(self, patch: Patch) -> None:
-        self.node.apply_patch(patch)
-
-    def remove_patch(self, patch: Patch) -> None:
-        self.node.remove_patch(patch)
-
-    def revoke_patch(self, patch: Patch) -> bool:
-        """Idempotent removal for revocation waves; returns whether the
-        member actually held the patch."""
-        if patch not in self.node.environment.patches:
-            return False
-        self.node.remove_patch(patch)
-        return True
-
-    def applied_patches(self) -> list[dict]:
-        return [patch_summary(patch)
-                for patch in self.node.environment.patches]
-
-    # -- repair evaluation ---------------------------------------------
-
-    def start_evaluate_candidate(self, patches: list[Patch],
-                                 payload: bytes) -> None:
-        self._evaluated = self.node.evaluate_candidate(patches, payload)
-
-    def finish_evaluate_candidate(self) -> RunResult:
-        assert self._evaluated is not None, "no evaluation in flight"
-        result, self._evaluated = self._evaluated, None
-        return result
-
-    # -- bookkeeping ---------------------------------------------------
-
-    def stats(self) -> NodeStats:
-        return self.node.stats
-
-    def shutdown(self) -> None:
-        """Nothing to tear down for an in-process member."""

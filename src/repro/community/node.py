@@ -2,8 +2,10 @@
 
 Each node wraps a managed environment (its running application), can
 learn locally over an assigned subset of procedures, and reports run
-outcomes to the central manager over the message bus — the Determina
-Node Manager role in §3.
+outcomes to the central manager through its message bus — the
+Determina Node Manager role in §3.  On every transport a member is one
+node driven by the member command handler in
+:mod:`repro.community.remote`, which drains the bus into each reply.
 """
 
 from __future__ import annotations
@@ -79,9 +81,8 @@ class CommunityNode:
                     traced_procedures: set[int] | None,
                     pair_scope: str) -> tuple[InvariantDatabase, int]:
         """One complete learning shard: trace *traced_procedures* over
-        *pages*, upload, and detach.  Both transports run exactly this
-        sequence (the local handle directly, the worker in its command
-        loop), so the two cannot drift apart."""
+        *pages*, upload, and detach.  The member command handler runs
+        exactly this sequence on every transport."""
         self.enable_learning(traced_procedures=traced_procedures,
                              pair_scope=pair_scope)
         for page in pages:
@@ -95,8 +96,8 @@ class CommunityNode:
                            payload: bytes) -> RunResult:
         """Trial-run one candidate repair: apply its patches, run the
         input once (without failure reporting — the server judges the
-        verdict), and withdraw them.  Both transports run exactly this
-        sequence, so the two cannot drift apart."""
+        verdict), and withdraw them.  The member command handler runs
+        exactly this sequence on every transport."""
         for patch in patches:
             self.apply_patch(patch)
         try:

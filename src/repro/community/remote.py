@@ -1,8 +1,9 @@
-"""Deadline-framed member channels: pipes, sockets, and TLS (§3).
+"""Member channels: pipes, sockets, TLS, and the in-process loopback (§3).
 
 ClearView's community runs each application under a Determina Node
 Manager that talks to the Management Console over an encrypted SSL
-channel.  This module is that channel made explicit:
+channel.  This module is that channel made explicit, for every
+transport the manager offers:
 
 - :class:`FramedChannel` carries length-prefixed frames over any stream
   socket (anonymous socketpairs for same-host workers, TCP — optionally
@@ -13,21 +14,24 @@ channel.  This module is that channel made explicit:
   wedged *mid-write* (SIGSTOPped after a partial reply) or trickling a
   frame slow-loris style is detected and dropped as ``hang`` instead of
   stalling the server forever in a blocking read.
-- :class:`ChannelMember` is the transport-generic server-side proxy for
-  one worker.  It replaces the old one-``_pending``-slot protocol with a
-  bounded *pipeline* of in-flight commands per worker, and its waits are
-  multiplexed by the owning transport: while the server blocks on one
-  member's reply it keeps pumping every other member's channel, so the
-  manager's correlation/merge work overlaps in-flight member runs.
+- :class:`ChannelMember` is the server-side handle for one member on
+  every transport.  It keeps a bounded *pipeline* of in-flight commands
+  per worker, and its waits are multiplexed by the owning transport:
+  while the server blocks on one member's reply it keeps pumping every
+  other member's channel, so the manager's correlation/merge work
+  overlaps in-flight member runs.
 - :class:`ChannelTransport` is the shared transport base (bus-compatible
   accounting, canonical :class:`PatchLedger`, per-op deadline table,
   worker-pool lifecycle); :class:`SocketTransport` implements it over
   TCP with optional TLS, either spawning loopback worker processes or
   accepting externally launched members (``python -m repro community
-  --connect HOST:PORT``).
-- :func:`serve_channel` is the worker-side command loop both the pipe
-  and socket transports run — one implementation, so the two transports
-  cannot drift apart.
+  --connect HOST:PORT``), and :class:`LoopbackTransport` runs the
+  members in the server's own process over :class:`LoopbackChannel`.
+- :func:`_handle_command` is the member command handler.  The worker
+  processes run it from :func:`serve_channel`, the command loop of the
+  pipe and socket transports; a :class:`LoopbackChannel` calls it for
+  each frame it is sent.  One implementation, so the transports cannot
+  drift apart.
 
 Failure policy: a worker that crashes (EOF), hangs (no reply within the
 per-op deadline, or a frame that fails to complete within the frame
@@ -76,15 +80,17 @@ import threading
 import time
 import typing
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.community import wire
 from repro.community.members import MemberFailure, patch_summary
+from repro.community.node import CommunityNode, NodeStats
 from repro.community.transport import Message, MessageBus
 from repro.core.checks import CheckPatch, Observation
 from repro.dynamo.execution import EnvironmentConfig, RunResult
 from repro.dynamo.patches import Patch
 from repro.errors import CommunityError
+from repro.learning.database import InvariantDatabase
 from repro.vm.binary import Binary
 
 try:  # pragma: no cover - stdlib, but gate for minimal builds
@@ -515,9 +521,20 @@ class _ObservationTap:
 
 
 class _WorkerState:
-    """Everything a worker tracks beside its CommunityNode."""
+    """One member's session: its CommunityNode and the patch bookkeeping
+    around it.
 
-    def __init__(self):
+    A worker process keeps one across reconnects, so a rejoining member
+    keeps its learned state and warm caches; a
+    :class:`LoopbackChannel` keeps one in the server's own process.
+    """
+
+    def __init__(self, name: str, binary: Binary,
+                 config: EnvironmentConfig | None):
+        #: The node's outbox: member-originated messages (failure
+        #: notifications, invariant uploads) ride the next reply home.
+        self.bus = MessageBus()
+        self.node = CommunityNode(name, binary, self.bus, config)
         #: Live patches by id (install-patch .. remove-patch window).
         self.installed: dict[int, Patch] = {}
         #: This command's trial patches (already withdrawn from the
@@ -536,7 +553,6 @@ class _WorkerState:
         self.events: list = []
         self.fault: dict | None = None
         self.last_database: dict | None = None
-        self.bus_cursor = 0
         #: Last install/remove epoch this worker acknowledged; echoed in
         #: ping replies and announced in the reconnect hello so the
         #: server replays exactly the missed ledger deltas.
@@ -545,47 +561,184 @@ class _WorkerState:
         #: reply is fully on the wire, i.e. with no command in flight —
         #: the wedge only the heartbeat prober can notice.
         self.wedge_after_reply = False
-        #: The worker's node and bus, attached by :func:`serve_channel`
-        #: on first use and reused across reconnects, so a rejoining
-        #: member keeps its learned state and warm caches.
-        self.node = None
-        self.bus = None
 
-    def retain_capture(self, patch: Patch) -> None:
-        """Count an installed patch's hold on its capture cell."""
+    def decode_patch(self, payload: dict,
+                     captures: dict | None = None) -> Patch:
+        patch = wire.patch_from_dict(
+            payload, self.captures if captures is None else captures,
+            sink=_ObservationTap(self.events, payload["patch_id"]))
+        # A re-decoded patch id (remove + reinstall of the same
+        # server-side patch) starts from fired=0 again; reset its
+        # reporting watermark or the next postlude would fold a spurious
+        # negative delta into the canonical counter.
+        self.reported_fired[patch.patch_id] = 0
+        return patch
+
+    def install(self, payload: dict) -> None:
+        """Decode one wire-form patch and apply it to the node."""
+        patch = self.decode_patch(payload)
+        self.node.apply_patch(patch)
+        self.installed[patch.patch_id] = patch
         capture = getattr(patch, "capture", None)
         if capture is not None:
             capture_id = capture.capture_id
             self.capture_refs[capture_id] = \
                 self.capture_refs.get(capture_id, 0) + 1
 
-    def release_capture(self, patch: Patch) -> None:
-        """Drop a removed patch's hold; free the cell at zero."""
+    def remove(self, patch_id: int) -> bool:
+        """Withdraw one installed patch and free its capture hold;
+        returns False when the patch is not held."""
+        patch = self.installed.pop(patch_id, None)
+        if patch is None:
+            return False
+        self.node.remove_patch(patch)
+        # No delta can be pending: fired only moves during run-style
+        # commands, whose own replies already drained it.
+        self.reported_fired.pop(patch_id, None)
         capture = getattr(patch, "capture", None)
-        if capture is None:
-            return
-        capture_id = capture.capture_id
-        refs = self.capture_refs.get(capture_id)
-        if refs is None:
-            return
-        if refs > 1:
-            self.capture_refs[capture_id] = refs - 1
-        else:
-            del self.capture_refs[capture_id]
-            self.captures.pop(capture_id, None)
+        if capture is not None and capture.capture_id in self.capture_refs:
+            capture_id = capture.capture_id
+            self.capture_refs[capture_id] -= 1
+            if not self.capture_refs[capture_id]:
+                del self.capture_refs[capture_id]
+                self.captures.pop(capture_id, None)
+        return True
+
+    def stamp(self, epoch: int | None) -> None:
+        """Acknowledge the ledger epoch an install/remove carried."""
+        if epoch is not None:
+            self.patch_epoch = int(epoch)
 
 
-def _decode_patch(state: _WorkerState, payload: dict,
-                  captures: dict | None = None) -> Patch:
-    patch = wire.patch_from_dict(
-        payload, state.captures if captures is None else captures,
-        sink=_ObservationTap(state.events, payload["patch_id"]))
-    # A re-decoded patch id (remove + reinstall of the same server-side
-    # patch) starts from fired=0 again; reset its reporting watermark or
-    # the next postlude would fold a spurious negative delta into the
-    # canonical counter.
-    state.reported_fired[patch.patch_id] = 0
-    return patch
+def _execute(state: _WorkerState, request: dict) -> dict:
+    """Run one command against a member session; returns the reply
+    body.  Fault injection is not an op here: only
+    :func:`serve_channel`, which owns a process to kill, handles it."""
+    node = state.node
+    op = request["op"]
+    if op == "ping":
+        return {"ok": True, "pid": os.getpid(), "epoch": state.patch_epoch}
+    if op == "learn-shard":
+        procedures = request["procedures"]
+        database, observations = node.learn_shard(
+            [bytes.fromhex(page) for page in request["pages"]],
+            None if procedures is None else set(procedures),
+            request["pair_scope"])
+        state.last_database = database.to_dict()
+        return {"ok": True, "observations": observations}
+    if op == "run":
+        result = node.run(bytes.fromhex(request["payload"]))
+        return {"ok": True, "result": wire.run_result_to_dict(result)}
+    if op == "probe":
+        result = node.environment.run(bytes.fromhex(request["payload"]))
+        return {"ok": True, "result": wire.run_result_to_dict(result)}
+    if op == "install-patch":
+        state.install(request["patch"])
+        state.stamp(request.get("epoch"))
+        return {"ok": True}
+    if op == "remove-patch":
+        if not state.remove(request["patch_id"]):
+            return {"ok": False,
+                    "error": f"patch {request['patch_id']} not applied"}
+        state.stamp(request.get("epoch"))
+        return {"ok": True}
+    if op == "revoke-patch":
+        # Fleet-wide revocation: idempotent by design.  A member that
+        # never held the patch (joined after its wave, or already caught
+        # up past its removal) acknowledges instead of erroring — a
+        # revocation wave must never cost members.
+        held = state.remove(request["patch_id"])
+        state.stamp(request.get("epoch"))
+        return {"ok": True, "held": held}
+    if op == "catch-up":
+        # Rejoin replay: the net ledger deltas since this worker's
+        # acknowledged epoch, removes strictly before installs.
+        removes, installs, epoch = wire.catch_up_from_dict(request)
+        missing = [patch_id for patch_id in removes
+                   if patch_id not in state.installed]
+        if missing:
+            return {"ok": False,
+                    "error": f"catch-up removes unheld patches {missing}"}
+        for patch_id in removes:
+            state.remove(patch_id)
+        for payload in installs:
+            state.install(payload)
+        state.stamp(epoch)
+        return {"ok": True, "installed": sorted(state.installed)}
+    if op == "evaluate-candidate":
+        trial_captures: dict[str, object] = {}
+        patches = [state.decode_patch(payload, trial_captures)
+                   for payload in request["patches"]]
+        state.trial_patches = patches
+        result = node.evaluate_candidate(
+            patches, bytes.fromhex(request["payload"]))
+        return {"ok": True, "result": wire.run_result_to_dict(result)}
+    if op == "applied-patches":
+        return {"ok": True,
+                "patches": [patch_summary(patch)
+                            for patch in node.environment.patches]}
+    if op == "report-database":
+        return {"ok": True, "database": state.last_database}
+    if op == "stats":
+        return {"ok": True, "stats": asdict(node.stats)}
+    if op == "debug-state":
+        # Test/console introspection: the registry footprint that
+        # capture and ledger refcounting keep bounded.
+        return {"ok": True,
+                "capture_cells": sorted(state.captures),
+                "capture_refs": dict(sorted(state.capture_refs.items())),
+                "installed_patches": sorted(state.installed)}
+    if op == "shutdown":
+        return {"ok": True, "bye": True}
+    return {"ok": False, "error": f"unknown op {op!r}"}
+
+
+def _handle_command(state: _WorkerState, request: dict) -> dict:
+    """The member command handler: every transport's worker side.
+
+    The socket loop (:func:`serve_channel`) and the in-process loopback
+    (:class:`LoopbackChannel`) both answer through here, so no op has a
+    second implementation.  A failing command becomes an error reply,
+    which the server turns into a dropped member (reason ``error``).
+    """
+    try:
+        return _execute(state, request)
+    except Exception as error:  # noqa: BLE001 - reported to the server
+        return {"ok": False, "error": f"{type(error).__name__}: {error}"}
+
+
+def _seal_reply(state: _WorkerState, response: dict) -> bytes:
+    """The reply postlude: attach everything the server must fold back
+    (member messages, repair ``fired`` deltas, check observations) and
+    encode the frame payload."""
+    messages = state.bus.log
+    state.bus.log = []
+    response["bus"] = [{"sender": m.sender, "recipient": m.recipient,
+                        "kind": m.kind, "payload": m.payload}
+                       for m in messages]
+    # Each entry's canonical size, computed here in the worker (the
+    # entries serialize identically standalone and inside the reply
+    # frame), so the server can attribute reply-frame bytes per kind
+    # without re-encoding the largest payloads on its gather path.
+    response["bus_sizes"] = [len(wire.encode(entry))
+                             for entry in response["bus"]]
+    fired: dict[str, int] = {}
+    for patch in list(state.installed.values()) + state.trial_patches:
+        current = getattr(patch, "fired", 0)
+        delta = current - state.reported_fired.get(patch.patch_id, 0)
+        if delta:
+            fired[str(patch.patch_id)] = delta
+            state.reported_fired[patch.patch_id] = current
+    for patch in state.trial_patches:
+        # Trial patches are done after this report; drop their
+        # watermarks so worker state stays bounded over long lives.
+        state.reported_fired.pop(patch.patch_id, None)
+    state.trial_patches = []
+    response["fired"] = fired
+    # Drain in place: installed taps hold a reference to this list.
+    response["events"] = list(state.events)
+    state.events.clear()
+    return wire.encode(response)
 
 
 def _send_faulted_reply(channel: FramedChannel, mode: str,
@@ -625,7 +778,9 @@ def serve_channel(channel: FramedChannel, name: str, binary: Binary,
 
     Channel-generic: the process transport runs it over an anonymous
     socketpair, the socket transport over a (possibly TLS) TCP
-    connection — one loop, so the transports cannot drift apart.
+    connection.  Commands go to :func:`_handle_command`, the handler the
+    in-process loopback runs too; this loop adds only what needs a
+    process of its own — fault injection, which exits or SIGSTOPs it.
 
     Passing a previous call's *state* resumes the same worker session
     (node, installed patches, acknowledged epoch) on a fresh channel —
@@ -633,141 +788,8 @@ def serve_channel(channel: FramedChannel, name: str, binary: Binary,
     reason)`` where *reason* is ``"shutdown"`` after a polite bye and
     ``"channel-error"`` when the connection was lost.
     """
-    # Import here: under the fork start method the child inherits the
-    # parent's modules anyway, but a spawn fallback must import fresh.
-    from repro.community.node import CommunityNode
-
     if state is None:
-        state = _WorkerState()
-        state.bus = MessageBus()
-        state.node = CommunityNode(name, binary, state.bus, config)
-    bus = state.bus
-    node = state.node
-
-    def handle(request: dict) -> dict:
-        op = request["op"]
-        if op == "ping":
-            return {"ok": True, "pid": os.getpid(),
-                    "epoch": state.patch_epoch}
-        if op == "learn-shard":
-            procedures = request["procedures"]
-            database, observations = node.learn_shard(
-                [bytes.fromhex(page) for page in request["pages"]],
-                None if procedures is None else set(procedures),
-                request["pair_scope"])
-            state.last_database = database.to_dict()
-            return {"ok": True, "observations": observations}
-        if op == "run":
-            result = node.run(bytes.fromhex(request["payload"]))
-            return {"ok": True, "result": wire.run_result_to_dict(result)}
-        if op == "probe":
-            result = node.environment.run(bytes.fromhex(request["payload"]))
-            return {"ok": True, "result": wire.run_result_to_dict(result)}
-        if op == "install-patch":
-            patch = _decode_patch(state, request["patch"])
-            node.apply_patch(patch)
-            state.installed[patch.patch_id] = patch
-            state.retain_capture(patch)
-            epoch = request.get("epoch")
-            if epoch is not None:
-                state.patch_epoch = int(epoch)
-            return {"ok": True}
-        if op == "remove-patch":
-            patch = state.installed.pop(request["patch_id"], None)
-            if patch is None:
-                return {"ok": False,
-                        "error": f"patch {request['patch_id']} not applied"}
-            node.remove_patch(patch)
-            # No delta can be pending: fired only moves during run-style
-            # commands, whose own replies already drained it.
-            state.reported_fired.pop(patch.patch_id, None)
-            state.release_capture(patch)
-            epoch = request.get("epoch")
-            if epoch is not None:
-                state.patch_epoch = int(epoch)
-            return {"ok": True}
-        if op == "revoke-patch":
-            # Fleet-wide revocation: idempotent by design.  A member
-            # that never held the patch (joined after its wave, or
-            # already caught up past its removal) acknowledges instead
-            # of erroring — a revocation wave must never cost members.
-            patch = state.installed.pop(request["patch_id"], None)
-            held = patch is not None
-            if held:
-                node.remove_patch(patch)
-                state.reported_fired.pop(patch.patch_id, None)
-                state.release_capture(patch)
-            epoch = request.get("epoch")
-            if epoch is not None:
-                state.patch_epoch = int(epoch)
-            return {"ok": True, "held": held}
-        if op == "catch-up":
-            # Rejoin replay: the net ledger deltas since this worker's
-            # acknowledged epoch, removes strictly before installs.
-            removes, installs, epoch = wire.catch_up_from_dict(request)
-            missing = [patch_id for patch_id in removes
-                       if patch_id not in state.installed]
-            if missing:
-                return {"ok": False,
-                        "error": f"catch-up removes unheld patches "
-                                 f"{missing}"}
-            for patch_id in removes:
-                patch = state.installed.pop(patch_id)
-                node.remove_patch(patch)
-                state.reported_fired.pop(patch_id, None)
-                state.release_capture(patch)
-            for payload in installs:
-                patch = _decode_patch(state, payload)
-                node.apply_patch(patch)
-                state.installed[patch.patch_id] = patch
-                state.retain_capture(patch)
-            state.patch_epoch = epoch
-            return {"ok": True, "installed": sorted(state.installed)}
-        if op == "evaluate-candidate":
-            trial_captures: dict[str, object] = {}
-            patches = [_decode_patch(state, payload, trial_captures)
-                       for payload in request["patches"]]
-            state.trial_patches = patches
-            result = node.evaluate_candidate(
-                patches, bytes.fromhex(request["payload"]))
-            return {"ok": True, "result": wire.run_result_to_dict(result)}
-        if op == "applied-patches":
-            return {"ok": True,
-                    "patches": [patch_summary(patch)
-                                for patch in node.environment.patches]}
-        if op == "report-database":
-            return {"ok": True, "database": state.last_database}
-        if op == "stats":
-            stats = node.stats
-            return {"ok": True, "stats": {
-                "runs": stats.runs,
-                "traced_observations": stats.traced_observations,
-                "failures_reported": stats.failures_reported,
-                "patches_applied": stats.patches_applied,
-            }}
-        if op == "debug-state":
-            # Test/console introspection: the registry footprint the
-            # refcounting satellites bound.
-            return {"ok": True,
-                    "capture_cells": sorted(state.captures),
-                    "capture_refs": {key: value for key, value
-                                     in sorted(state.capture_refs.items())},
-                    "installed_patches": sorted(state.installed)}
-        if op == "inject-fault":
-            if request["mode"] == "wedge-idle":
-                # SIGSTOP only after this reply is fully delivered: the
-                # worker wedges *between* commands, invisible to every
-                # reply deadline — exactly what heartbeat probing is for.
-                state.wedge_after_reply = True
-                return {"ok": True}
-            state.fault = {"mode": request["mode"],
-                           "op": request.get("at", "*"),
-                           "seconds": request.get("seconds", 3600)}
-            return {"ok": True}
-        if op == "shutdown":
-            return {"ok": True, "bye": True}
-        return {"ok": False, "error": f"unknown op {op!r}"}
-
+        state = _WorkerState(name, binary, config)
     reason = "channel-error"
     while True:
         try:
@@ -807,42 +829,21 @@ def serve_channel(channel: FramedChannel, name: str, binary: Binary,
             # disconnect-mid-frame) corrupt the *delivery* of a genuine
             # reply, so fall through to handle the command normally.
 
+        if op == "inject-fault":
+            if request["mode"] == "wedge-idle":
+                # SIGSTOP only after this reply is fully delivered: the
+                # worker wedges *between* commands, invisible to every
+                # reply deadline — exactly what heartbeat probing is for.
+                state.wedge_after_reply = True
+            else:
+                state.fault = {"mode": request["mode"],
+                               "op": request.get("at", "*"),
+                               "seconds": request.get("seconds", 3600)}
+            response = {"ok": True}
+        else:
+            response = _handle_command(state, request)
+        encoded = _seal_reply(state, response)
         try:
-            response = handle(request)
-        except Exception as error:  # noqa: BLE001 - reported to the server
-            response = {"ok": False,
-                        "error": f"{type(error).__name__}: {error}"}
-
-        # Postlude: attach everything the server must fold back.
-        new_messages = bus.log[state.bus_cursor:]
-        state.bus_cursor = len(bus.log)
-        response["bus"] = [{"sender": m.sender, "recipient": m.recipient,
-                            "kind": m.kind, "payload": m.payload}
-                           for m in new_messages]
-        # Each entry's canonical size, computed here in the worker (the
-        # entries serialize identically standalone and inside the reply
-        # frame), so the server can attribute reply-frame bytes per kind
-        # without re-encoding the largest payloads on its gather path.
-        response["bus_sizes"] = [len(wire.encode(entry))
-                                 for entry in response["bus"]]
-        fired: dict[str, int] = {}
-        for patch in list(state.installed.values()) + state.trial_patches:
-            current = getattr(patch, "fired", 0)
-            delta = current - state.reported_fired.get(patch.patch_id, 0)
-            if delta:
-                fired[str(patch.patch_id)] = delta
-                state.reported_fired[patch.patch_id] = current
-        for patch in state.trial_patches:
-            # Trial patches are done after this report; drop their
-            # watermarks so worker state stays bounded over long lives.
-            state.reported_fired.pop(patch.patch_id, None)
-        state.trial_patches = []
-        response["fired"] = fired
-        # Drain in place: installed taps hold a reference to this list.
-        response["events"] = list(state.events)
-        state.events.clear()
-        try:
-            encoded = wire.encode(response)
             if armed and fault["mode"] in ("stall-mid-write", "slow-loris",
                                            "disconnect-mid-frame"):
                 _send_faulted_reply(channel, fault["mode"], encoded,
@@ -861,20 +862,57 @@ def serve_channel(channel: FramedChannel, name: str, binary: Binary,
     return state, reason
 
 
+class LoopbackChannel:
+    """A member channel that never leaves the server's process.
+
+    Each frame sent is handed straight to :func:`_handle_command` over
+    this member's own :class:`_WorkerState`, and the sealed reply is
+    queued for the server to collect: no socket, no thread, and replies
+    in command order.  The byte counters follow
+    :class:`FramedChannel`'s (length prefixes included), so per-kind
+    accounting reconciles to :meth:`ChannelTransport.wire_bytes_total`
+    exactly as on a real channel.
+    """
+
+    def __init__(self, name: str, binary: Binary,
+                 config: EnvironmentConfig | None):
+        self._state = _WorkerState(name, binary, config)
+        self._replies: deque[bytes] = deque()
+        self.sent_bytes = 0
+        self.received_bytes = 0
+
+    def send_frame(self, payload: bytes,
+                   timeout: float | None = None) -> int:
+        reply = _seal_reply(self._state, _handle_command(
+            self._state, wire.decode(payload)))
+        self._replies.append(reply)
+        self.sent_bytes += _HEADER.size + len(payload)
+        self.received_bytes += _HEADER.size + len(reply)
+        return _HEADER.size + len(payload)
+
+    def recv_frame(self) -> bytes:
+        return self._replies.popleft()
+
+    def close(self) -> None:
+        """Nothing to release: the session lives as long as its member."""
+
+
 # ---------------------------------------------------------------------------
 # Server side
 # ---------------------------------------------------------------------------
 
 class ChannelMember:
-    """Server-side proxy for one worker over a :class:`FramedChannel`.
+    """Server-side handle for one member, on every transport.
 
-    Implements the same handle API as
-    :class:`~repro.community.members.LocalMember`.  Commands are posted
-    without waiting (`post`), replies collected FIFO (`collect`), and up
-    to :attr:`pipeline_depth` commands may be in flight at once — the
-    worker's command loop answers them in order, so replies correlate by
-    position.  Waiting is delegated to the transport, which pumps every
-    sibling channel while this member's reply is awaited.
+    The manager's only view of a member: the node-manager command set
+    (learn a shard, run or probe an input, install, remove or revoke a
+    patch, evaluate a candidate repair) over a :class:`FramedChannel` to
+    a worker process or a :class:`LoopbackChannel` in this process.
+    Commands are posted without waiting (`post`), replies collected FIFO
+    (`collect`), and up to :attr:`pipeline_depth` commands may be in
+    flight at once — the worker answers them in order, so replies
+    correlate by position.  Waiting is delegated to the transport, which
+    pumps every sibling channel while this member's reply is awaited.
     """
 
     def __init__(self, transport: "ChannelTransport", name: str,
@@ -1115,8 +1153,6 @@ class ChannelMember:
                   pages=[page.hex() for page in pages])
 
     def finish_learn_shard(self):
-        from repro.learning.database import InvariantDatabase
-
         mark = len(self._transport.log)
         response = self.collect()
         upload = None
@@ -1149,11 +1185,12 @@ class ChannelMember:
                             wire.run_result_from_dict(response["result"]))
 
     def install_patch(self, patch: Patch) -> None:
+        # Encode first: a patch with no wire form must not register.
+        payload = wire.patch_to_dict(patch)
         ledger = self._transport.ledger
         ledger.register(patch)
         self._ledger_ids.append(patch.patch_id)
-        self.call("install-patch", patch=wire.patch_to_dict(patch),
-                  epoch=ledger.epoch)
+        self.call("install-patch", patch=payload, epoch=ledger.epoch)
         self.acked_epoch = ledger.epoch
 
     def remove_patch(self, patch: Patch) -> None:
@@ -1214,9 +1251,7 @@ class ChannelMember:
         return self._expect("evaluate-candidate", lambda:
                             wire.run_result_from_dict(response["result"]))
 
-    def stats(self):
-        from repro.community.node import NodeStats
-
+    def stats(self) -> NodeStats:
         response = self.call("stats")
         return self._expect("stats",
                             lambda: NodeStats(**response["stats"]))
@@ -1224,8 +1259,6 @@ class ChannelMember:
     def report_database(self):
         """Console query: the member's most recently learned shard
         database (None if it has not learned yet)."""
-        from repro.learning.database import InvariantDatabase
-
         response = self.call("report-database")
         return self._expect("report-database", lambda: (
             None if response["database"] is None
@@ -1263,10 +1296,10 @@ class ChannelMember:
 
 
 class ChannelTransport:
-    """Shared base for channel transports, with bus-compatible accounting.
+    """Shared base of every transport, with bus-compatible accounting.
 
-    Exposes the same ``subscribe``/``send``/``log``/``bytes_by_kind``
-    API as :class:`MessageBus` (every command, reply, and replayed
+    Exposes the same ``log``/``bytes_by_kind`` API as
+    :class:`MessageBus` (every command, reply, and replayed
     member message is logged, with both its canonical payload size and
     its true on-wire frame attribution), plus the worker pool
     management, the per-op deadline table, and the reply multiplexer
@@ -1327,13 +1360,6 @@ class ChannelTransport:
     @property
     def log(self) -> list[Message]:
         return self._bus.log
-
-    def subscribe(self, name: str, handler) -> None:
-        self._bus.subscribe(name, handler)
-
-    def send(self, sender: str, recipient: str, kind: str,
-             payload: dict) -> Message:
-        return self._bus.send(sender, recipient, kind, payload)
 
     def deliver(self, message: Message) -> Message:
         return self._bus.deliver(message)
@@ -1528,7 +1554,9 @@ class ChannelTransport:
     # -- pool management -----------------------------------------------
 
     def spawn(self, binary: Binary, config: EnvironmentConfig | None,
-              names: list[str]) -> list[ChannelMember]:
+              names: list[str]) -> None:
+        """Create one member per name in :attr:`members`, the
+        community's one membership list."""
         raise NotImplementedError
 
     def respawn(self, member: "ChannelMember",
@@ -1588,6 +1616,34 @@ def _can_pump(channel: FramedChannel) -> bool:
     except (OSError, ValueError):
         return False
     return True
+
+
+class LoopbackTransport(ChannelTransport):
+    """In-process members (``transport="in-process"``).
+
+    Each member is a :class:`ChannelMember` over a
+    :class:`LoopbackChannel`: the worker's own command handler and patch
+    bookkeeping, run in the server's interpreter.  Everything else — the
+    wire codec, :class:`PatchLedger` fold-back, byte accounting and
+    member lifecycle — is the channel transports' code, so the
+    in-process community differs from the sharded ones only in having no
+    worker processes: it is single-core, deterministic, and cannot
+    crash, hang, wedge or rejoin.  Fault injection needs a worker
+    process; a loopback member answers it with an error reply.
+    """
+
+    def spawn(self, binary: Binary, config: EnvironmentConfig | None,
+              names: list[str]) -> None:
+        if self.members:
+            raise CommunityError("transport already has a worker pool")
+        for name in names:
+            self.members.append(ChannelMember(
+                self, name, binary, LoopbackChannel(name, binary, config)))
+
+    def _await_reply(self, member: ChannelMember,
+                     timeout: float | None) -> bytes:
+        # The reply was queued when the command was sent.
+        return member.channel.recv_frame()
 
 
 # ---------------------------------------------------------------------------
@@ -1836,7 +1892,7 @@ class SocketTransport(ChannelTransport):
         raise CommunityError(f"member handshake failed: {last_error}")
 
     def spawn(self, binary: Binary, config: EnvironmentConfig | None,
-              names: list[str]) -> list[ChannelMember]:
+              names: list[str]) -> None:
         if self.members:
             raise CommunityError("transport already has a worker pool")
         self._binary = binary
@@ -1924,7 +1980,6 @@ class SocketTransport(ChannelTransport):
             raise CommunityError(
                 "no member completed the socket handshake")
         self.start_heartbeat()
-        return list(self.members)
 
     def poll_rejoins(self, budget: float = 0.0) -> list[ChannelMember]:
         """Admit reconnecting or newly arriving members.

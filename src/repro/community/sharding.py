@@ -1,26 +1,22 @@
 """Process-sharded community members (§3 at real process granularity).
 
-The in-process :class:`~repro.community.transport.MessageBus` simulates
+The in-process :class:`~repro.community.remote.LoopbackTransport` runs
 every member inside the server's interpreter, so an 8-member community
-never uses more than one core and "serialization" is a dictionary copy.
-This module makes the management-console/node split real:
-
-- :class:`ProcessTransport` owns one OS process per member (the paper's
-  Determina Node Manager), each running the shared
-  :func:`~repro.community.remote.serve_channel` command loop over an
-  anonymous socketpair carried by a deadline-framed
-  :class:`~repro.community.remote.FramedChannel`.
-- :class:`ProcessMember` is the server-side proxy implementing the same
-  handle API as :class:`~repro.community.members.LocalMember`; commands
-  and replies cross the channel as length-prefixed canonical JSON
-  (:mod:`repro.community.wire`) and are logged on the transport with
-  their true on-wire frame size.
-- :class:`~repro.community.remote.PatchLedger` folds worker-reported
-  state back into the *canonical* server-side patch objects: check-patch
-  observations stream into the ClearView manager's sink, and repair
-  ``fired`` deltas accumulate on the very objects the manager consults
-  for causal crash blame — which is what makes the sharded community
-  observationally identical to the in-process one.
+never uses more than one core.  This module makes the
+management-console/node split real:
+:class:`ProcessTransport` owns one OS process per member (the paper's
+Determina Node Manager), each running the shared
+:func:`~repro.community.remote.serve_channel` command loop over an
+anonymous socketpair carried by a deadline-framed
+:class:`~repro.community.remote.FramedChannel`.  The server drives each
+worker through an ordinary
+:class:`~repro.community.remote.ChannelMember`: commands and replies
+cross the channel as length-prefixed canonical JSON
+(:mod:`repro.community.wire`) and are logged on the transport with their
+true on-wire frame size, and the transport's
+:class:`~repro.community.remote.PatchLedger` folds worker-reported state
+(check observations, repair ``fired`` deltas) back into the canonical
+server-side patch objects — the same path the in-process members take.
 
 Failure policy: a worker that crashes (channel EOF), hangs (no reply
 within the per-op deadline, *or* a reply frame that stops making
@@ -39,12 +35,10 @@ from __future__ import annotations
 import multiprocessing
 import socket
 
-from repro.community.remote import (  # noqa: F401 - re-exported compat
+from repro.community.remote import (
     ChannelMember,
     ChannelTransport,
-    DroppedMember,
     FramedChannel,
-    PatchLedger,
     serve_channel,
 )
 from repro.dynamo.execution import EnvironmentConfig
@@ -57,10 +51,6 @@ def _worker_main(sock: socket.socket, frame_deadline: float, name: str,
     """Entry point of one pipe-transport worker process."""
     serve_channel(FramedChannel(sock, frame_deadline=frame_deadline),
                   name, binary, config)
-
-
-class ProcessMember(ChannelMember):
-    """Server-side proxy for one same-host worker process."""
 
 
 class ProcessTransport(ChannelTransport):
@@ -106,17 +96,16 @@ class ProcessTransport(ChannelTransport):
         return channel, process
 
     def spawn(self, binary: Binary, config: EnvironmentConfig | None,
-              names: list[str]) -> list[ProcessMember]:
+              names: list[str]) -> None:
         if self.members:
             raise CommunityError("transport already has a worker pool")
         self._binary = binary
         self._config = config
         for name in names:
             channel, process = self._launch(name)
-            self.members.append(ProcessMember(
+            self.members.append(ChannelMember(
                 self, name, binary, channel, process=process))
         self.start_heartbeat()
-        return list(self.members)
 
     def respawn(self, member: ChannelMember,
                 timeout: float | None = None) -> bool:

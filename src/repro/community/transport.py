@@ -1,28 +1,26 @@
-"""Simulated secure transport between community members and the server.
+"""The community's message log, with wire-size accounting.
 
 Models the Determina Node Manager <-> Management Console channel (SSL in
-the paper).  Messages are JSON-able dicts; the bus records every message
-with its wire size, which lets benchmarks verify the §3.1 claim that
-members upload *invariants*, never raw trace data.
+the paper).  Messages are JSON-able dicts; a :class:`MessageBus` records
+every message with its wire size, which lets benchmarks verify the §3.1
+claim that members upload *invariants*, never raw trace data.
 
-Three transports share this accounting API:
+Two kinds of log use it:
 
-- :class:`MessageBus` — the in-process bus; members are simulated in the
-  server's process and handlers run synchronously.
-- :class:`~repro.community.sharding.ProcessTransport` — each member runs
-  in its own OS process; commands and replies cross anonymous
-  socketpairs as deadline-framed canonical JSON.
-- :class:`~repro.community.remote.SocketTransport` — members over TCP
-  (optionally TLS, the paper's SSL channel), same framing, same logs.
+- each member's :class:`~repro.community.node.CommunityNode` sends its
+  failure notifications and invariant uploads to a bus of its own, which
+  the member's command handler drains into the next reply;
+- every transport (:class:`~repro.community.remote.ChannelTransport`:
+  in-process loopback, process-sharded, or socket) logs the commands,
+  replies and replayed member messages that cross its channels, each
+  with its canonical payload encoding (``wire_size``, identical across
+  transports for identical payloads) and its true on-wire frame
+  attribution (``frame_size``, whose per-kind totals sum to the bytes
+  that crossed the channels).
 
-Channel transports log every message twice over: its canonical payload
-encoding (``wire_size``, identical across transports for identical
-payloads) and its true on-wire frame attribution (``frame_size``, whose
-per-kind totals sum to the bytes that actually crossed the channels).
-
-Delivery is by value on both: ``send`` round-trips the payload through
-the wire codec, so an in-process subscriber can never observe a
-sender-side mutation that a process-sharded member would not see.
+Logging is by value: ``send`` round-trips the payload through the wire
+codec, so the log never observes a sender-side mutation that a real
+channel would not carry.
 """
 
 from __future__ import annotations
@@ -47,14 +45,15 @@ class Message:
     #: Bytes this record accounts for on a *real* channel (length
     #: prefix included; a reply frame's bytes are split exactly between
     #: the piggybacked member messages and the ``reply:<op>`` record).
-    #: None on the in-process bus, where nothing crosses a wire.
+    #: None for messages no channel carried (a member's own outbox).
     frame_size: int | None = field(default=None, compare=False,
                                    repr=False)
 
     def wire_size(self) -> int:
         """Canonical encoded size of the payload in bytes — the
-        transport-independent measure both substrates report (identical
-        for identical payloads, wire framing overhead excluded)."""
+        transport-independent measure every transport reports
+        (identical for identical payloads, wire framing overhead
+        excluded)."""
         if self.encoded_size is None:
             self.encoded_size = len(
                 json.dumps(self.payload, separators=(",", ":"))
@@ -64,23 +63,18 @@ class Message:
 
 @dataclass
 class MessageBus:
-    """In-process message bus with delivery accounting."""
+    """A message log with delivery accounting."""
 
     log: list[Message] = field(default_factory=list)
-    _subscribers: dict[str, list] = field(default_factory=dict)
-
-    def subscribe(self, name: str, handler) -> None:
-        """Register *handler* (callable(Message)) for messages to *name*."""
-        self._subscribers.setdefault(name, []).append(handler)
 
     def send(self, sender: str, recipient: str, kind: str,
              payload: dict) -> Message:
-        """Deliver a message synchronously; returns the logged record.
+        """Log a message; returns the logged record.
 
         The payload is round-tripped through the wire encoding at send
-        time: recipients (and the log) hold an independent copy, so later
-        sender-side mutations are invisible — the same by-value semantics
-        a real serialized channel has.
+        time: the log holds an independent copy, so later sender-side
+        mutations are invisible — the same by-value semantics a real
+        serialized channel has.
         """
         encoded = json.dumps(payload, separators=(",", ":"))
         return self.deliver(Message(
@@ -89,36 +83,14 @@ class MessageBus:
             encoded_size=len(encoded.encode("utf-8"))))
 
     def deliver(self, message: Message) -> Message:
-        """Log and dispatch an already-materialized message.
+        """Log an already-materialized message.
 
-        For callers whose payload is *already* an independent copy (the
-        process transport logs payloads freshly decoded off a pipe):
-        skips the defensive re-serialization ``send`` performs.
+        For callers whose payload is *already* an independent copy (a
+        transport logs payloads freshly decoded off a channel): skips
+        the defensive re-serialization ``send`` performs.
         """
         self.log.append(message)
-        for handler in self._subscribers.get(message.recipient, ()):
-            handler(message)
         return message
-
-    def close(self) -> None:
-        """Nothing to tear down for the in-process bus."""
-
-    # -- member-lifecycle parity -------------------------------------------
-
-    #: In-process members cannot wedge between commands; there is no
-    #: prober to configure.  (Plain class attribute, not a field.)
-    heartbeat_interval = None
-
-    def heartbeat(self, force: bool = False) -> list[str]:
-        """Lifecycle parity with the channel transports: simulated
-        members run in the server's own interpreter and cannot wedge
-        idle, so a heartbeat wave never evicts anyone."""
-        return []
-
-    def poll_rejoins(self, budget: float = 0.0) -> list:
-        """Lifecycle parity: the in-process bus has no listener for
-        members to dial, so no one ever rejoins."""
-        return []
 
     # -- accounting ---------------------------------------------------------
 
@@ -139,9 +111,9 @@ class MessageBus:
     def channel_bytes_by_kind(self) -> dict[str, int]:
         """On-wire bytes per kind (records with a frame attribution).
 
-        Empty on a pure in-process bus; on a channel transport the
-        per-kind totals of a fault-free episode sum exactly to the
-        bytes that crossed the member channels (see
+        Empty on a member's outbox; on a transport the per-kind totals
+        of a fault-free episode sum exactly to the bytes that crossed
+        the member channels (see
         ``ChannelTransport.wire_bytes_total``; a dropped member's
         undecodable final bytes never become log records).
         """

@@ -1,8 +1,8 @@
 """Wire codecs for the process-sharded application community.
 
-Everything that crosses a process boundary — commands, replies, uploaded
+Everything that crosses a member channel — commands, replies, uploaded
 invariant databases, distributed patches, run results — travels as
-canonical JSON produced by :func:`encode`.  The encoding is the same one
+canonical JSON produced by :func:`encode`, on every transport.  The encoding is the same one
 :class:`~repro.community.transport.Message` accounts with, so
 ``Message.wire_size()`` equals the number of bytes actually written to a
 worker pipe for the same payload.
@@ -15,14 +15,9 @@ state: check patches record into the manager's
 therefore ships *structure*, not state:
 
 - shared capture cells are encoded by ``capture_id`` and re-linked from a
-  per-worker registry, so a capture/check pair decoded by two separate
-  ``install-patch`` commands still shares one cell.  (Scope note: the
-  registry is per worker, i.e. per member machine — physically faithful.
-  The in-process simulation instead installs the *same* patch objects on
-  every simulated member, so there a capture cell is accidentally shared
-  community-wide; the two can diverge only on a run that reaches a check
-  pc without having executed its capture pc, where in-process code would
-  read another member's stale capture);
+  per-member registry, so a capture/check pair decoded by two separate
+  ``install-patch`` commands still shares one cell — and each member,
+  in-process ones included, holds cells of its own;
 - a decoded check patch records into whatever sink the decode context
   supplies (workers install a tap that streams ``(patch_id, satisfied)``
   events back to the server);

@@ -5,70 +5,101 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import build_browser, learning_pages
-from repro.community import CommunityManager
+from repro.community import (
+    CommunityManager,
+    LoopbackTransport,
+    MemberFailure,
+    MessageBus,
+    wire,
+)
 from repro.community.manager import CommunityEnvironment
+from repro.community.members import patch_summary
 from repro.community.node import CommunityNode
-from repro.community.transport import MessageBus
 from repro.dynamo import Outcome
+from repro.dynamo.patches import Patch, PokePatch
 from repro.redteam import exploit
+
+
+def in_process_members(browser, count: int) -> LoopbackTransport:
+    transport = LoopbackTransport()
+    transport.spawn(browser.stripped(), None,
+                    [f"n{index}" for index in range(count)])
+    return transport
+
+
+class Marker(Patch):
+    """A patch the wire codec has no form for."""
+
+    def execute(self, cpu, instruction):
+        return None
 
 
 class TestCommunityEnvironment:
     def test_requires_members(self):
         with pytest.raises(ValueError):
-            CommunityEnvironment([])
+            CommunityEnvironment(LoopbackTransport())
 
     def test_round_robin_rotation(self, browser):
-        bus = MessageBus()
-        nodes = [CommunityNode(f"n{i}", browser, bus) for i in range(3)]
-        environment = CommunityEnvironment(nodes)
+        transport = in_process_members(browser, 3)
+        environment = CommunityEnvironment(transport)
         page = learning_pages()[0]
         for _ in range(6):
             environment.run(page)
-        assert [node.stats.runs for node in nodes] == [2, 2, 2]
+        assert [member.stats().runs for member in transport.members] == \
+            [2, 2, 2]
 
     def test_run_on_specific_member(self, browser):
-        bus = MessageBus()
-        nodes = [CommunityNode(f"n{i}", browser, bus) for i in range(3)]
-        environment = CommunityEnvironment(nodes)
+        transport = in_process_members(browser, 3)
+        environment = CommunityEnvironment(transport)
         environment.run_on(1, learning_pages()[0])
-        assert [node.stats.runs for node in nodes] == [0, 1, 0]
+        assert [member.stats().runs for member in transport.members] == \
+            [0, 1, 0]
 
     def test_patch_fanout_and_removal(self, browser):
-        from repro.dynamo.patches import Patch
-
-        class Marker(Patch):
-            def execute(self, cpu, instruction):
-                return None
-
-        bus = MessageBus()
-        nodes = [CommunityNode(f"n{i}", browser, bus) for i in range(2)]
-        environment = CommunityEnvironment(nodes)
-        patch = Marker(pc=0)
+        transport = in_process_members(browser, 2)
+        environment = CommunityEnvironment(transport)
+        patch = PokePatch(pc=0)
         environment.install_patch(patch)
-        assert all(node.environment.patches == [patch] for node in nodes)
-        assert all(node.stats.patches_applied == 1 for node in nodes)
+        assert all(member.applied_patches() == [patch_summary(patch)]
+                   for member in transport.members)
+        assert all(member.stats().patches_applied == 1
+                   for member in transport.members)
         environment.remove_patch(patch)
-        assert all(node.environment.patches == [] for node in nodes)
+        assert all(member.applied_patches() == []
+                   for member in transport.members)
 
     def test_clear_patches_predicate(self, browser):
-        from repro.dynamo.patches import Patch
-
-        class Marker(Patch):
-            def execute(self, cpu, instruction):
-                return None
-
-        bus = MessageBus()
-        nodes = [CommunityNode("n0", browser, bus)]
-        environment = CommunityEnvironment(nodes)
-        keep = Marker(pc=0, failure_id="keep")
-        drop = Marker(pc=16, failure_id="drop")
+        environment = CommunityEnvironment(in_process_members(browser, 1))
+        keep = PokePatch(pc=0, failure_id="keep")
+        drop = PokePatch(pc=16, failure_id="drop")
         environment.install_patch(keep)
         environment.install_patch(drop)
         removed = environment.clear_patches(
             lambda patch: patch.failure_id == "drop")
         assert removed == 1
         assert environment.patches == [keep]
+
+    @pytest.mark.parametrize("transport", ["in-process", "process"])
+    def test_patch_without_wire_form_changes_nothing(self, browser,
+                                                     transport):
+        """A patch no member could be sent is refused before the patch
+        list, the ledger (the rejoin journal) or any member changes."""
+        with CommunityManager(browser, members=2,
+                              transport=transport) as manager:
+            environment = manager.environment
+            ledger = manager.transport.ledger
+            environment.install_patch(PokePatch(pc=0))
+
+            def observed():
+                return (list(environment.patches), ledger.epoch,
+                        list(ledger.history), ledger.live_entries(),
+                        [member.applied_patches()
+                         for member in manager.members])
+
+            before = observed()
+            with pytest.raises(wire.WireError):
+                environment.install_patch(Marker(pc=0))
+            assert observed() == before
 
 
 class TestManagerLifecycle:
@@ -91,6 +122,24 @@ class TestManagerLifecycle:
             if result.outcome is Outcome.COMPLETED:
                 break
         assert outcomes[-1] is Outcome.COMPLETED
+
+    def test_transport_must_be_a_channel_transport(self, browser):
+        with pytest.raises(TypeError, match="ChannelTransport"):
+            CommunityManager(browser, members=1, transport=MessageBus())
+
+    def test_fault_injection_drops_an_in_process_member(self, browser):
+        """In-process members have no worker process to kill: an
+        injected crash comes back as an error reply, the member is
+        dropped, and the survivors keep serving."""
+        manager = CommunityManager(browser, members=3)
+        with pytest.raises(MemberFailure) as failure:
+            manager.members[1].inject_fault("crash")
+        assert failure.value.reason == "error"
+        assert [dropped.name for dropped in manager.dropped_members] == \
+            ["node-1"]
+        for _ in range(3):
+            result = manager.environment.run(learning_pages()[0])
+            assert result.outcome is Outcome.COMPLETED
 
     def test_unknown_strategy_rejected(self, browser):
         manager = CommunityManager(browser, members=2)

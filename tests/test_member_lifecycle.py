@@ -31,7 +31,6 @@ import pytest
 from repro.apps import learning_pages
 from repro.community import (
     CommunityManager,
-    MessageBus,
     PatchLedger,
     ProcessTransport,
     SocketTransport,
@@ -255,11 +254,14 @@ class TestHeartbeatLiveness:
         assert all(member.alive and member.state == "active"
                    for member in manager.members)
 
-    def test_in_process_bus_has_lifecycle_parity(self):
-        bus = MessageBus()
-        assert bus.heartbeat_interval is None
-        assert bus.heartbeat(force=True) == []
-        assert bus.poll_rejoins() == []
+    def test_in_process_bus_has_lifecycle_parity(self, make_manager):
+        """In-process members share the channel transports' lifecycle
+        code; with no worker process to wedge or dial back, a heartbeat
+        wave evicts no one and no one rejoins."""
+        transport = make_manager(members=2).transport
+        assert transport.heartbeat_interval is None
+        assert transport.heartbeat(force=True) == []
+        assert transport.poll_rejoins() == []
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import pytest
 from repro.apps import learning_pages
 from repro.community import (
     CommunityManager,
+    LoopbackTransport,
     MemberFailure,
     ProcessTransport,
     SocketTransport,
@@ -443,6 +444,52 @@ class TestExternalMembers:
                 worker.join(timeout=5)
         assert worker.exitcode == 0
 
+    def test_late_arrival_is_counted_where_it_learned(self, browser,
+                                                       make_manager):
+        """One membership list: a member that dials in after spawn is
+        admitted at the next wave edge, learns a shard, and appears in
+        the report's per-member entries, which sum to the full count."""
+        import multiprocessing
+        import select
+
+        transport = SocketTransport(accept_external=True,
+                                    spawn_timeout=30.0)
+        host, port = transport.listen()
+        context = multiprocessing.get_context("fork")
+        workers = []
+
+        def dial(name: str) -> None:
+            worker = context.Process(
+                target=run_member,
+                args=(host, port, name, browser.stripped(), None),
+                daemon=True)
+            worker.start()
+            workers.append(worker)
+
+        try:
+            dial("a")
+            manager = make_manager(members=1, transport=transport)
+            dial("b")
+            # Wait for b's connection to be pending, so the wave-edge
+            # sweep at the start of learning admits it.
+            select.select([transport._listener], [], [], 30.0)
+            report = manager.learn_distributed(learning_pages())
+            assert [member.name for member in manager.members] == \
+                ["a", "b"]
+            assert report.per_node_observations == \
+                [member.stats().traced_observations
+                 for member in manager.members]
+            assert all(report.per_node_observations)
+            assert sum(report.per_node_observations) == \
+                report.full_observations
+            manager.close()
+        finally:
+            for worker in workers:
+                worker.join(timeout=10)
+                if worker.is_alive():  # pragma: no cover - cleanup only
+                    worker.kill()
+                    worker.join(timeout=5)
+
 
 # ---------------------------------------------------------------------------
 # Exact on-wire accounting
@@ -450,7 +497,8 @@ class TestExternalMembers:
 
 class TestWireAccounting:
     @pytest.mark.parametrize("transport_cls",
-                             [ProcessTransport, SocketTransport])
+                             [LoopbackTransport, ProcessTransport,
+                              SocketTransport])
     def test_per_kind_totals_sum_to_on_wire_bytes(self, make_manager,
                                                   transport_cls):
         """Every frame byte is attributed to exactly one log record:
@@ -493,9 +541,7 @@ class TestWireAccounting:
         # its canonical payload (framing + envelope overhead).
         assert by_kind["invariant-upload"] >= \
             payload_kind["invariant-upload"]
-        # The in-process bus has no channel records at all.
         assert in_process.upload_bytes > 0
-        assert make_manager(members=1).bus.channel_bytes_by_kind() == {}
 
 
 # ---------------------------------------------------------------------------
