@@ -1,11 +1,12 @@
 """Pre-deployment static patch vetting over the MiniX86 CFG.
 
 ClearView's original defence against bad candidate repairs is dynamic:
-ship the patch, watch it fail, revoke it (§2.6 plus the guardrail
-ledger).  That containment loop costs real executions — on channel
-members a loop-forever patch costs a *kill*.  This module moves the
-obviously-wrong candidates out of the pool before anything executes,
-using the dataflow results in this package:
+ship the patch, watch it fail, revoke it (§2.6), and eject a candidate
+that kills community members as toxic.  That containment loop costs
+real executions — on channel members a loop-forever patch costs a
+*kill*.  ``ClearView._veto`` runs this vetter on every candidate before
+it is deployed, so the obviously-wrong ones leave the pool before
+anything executes, using the dataflow results in this package:
 
 1. **Alignment/bounds** — an unconditional redirect must target an
    ``INSTRUCTION_SIZE``-aligned address inside the code segment

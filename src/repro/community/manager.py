@@ -49,13 +49,13 @@ from repro.community.strategies import (
 )
 from repro.core.clearview import ClearView, ClearViewConfig, SessionState
 from repro.core.repair import build_repair_patch
+from repro.core.reports import patch_health
 from repro.dynamo.execution import (
     EnvironmentConfig,
     ManagedEnvironment,
     Outcome,
     RunResult,
 )
-from repro.dynamo.guardrails import PatchHealthLedger, TOXIC_KILLS
 from repro.dynamo.patches import Patch
 from repro.errors import CommunityError
 from repro.learning.database import InvariantDatabase
@@ -418,13 +418,12 @@ class CommunityManager:
 
     def community_status(self) -> dict:
         """Degraded-mode report: lifecycle state per member, quorum
-        health, the transport's casualty list, and the patch-health
-        ledger's verdict summary."""
+        health, the transport's casualty list, and the verdicts reached
+        on each repair (:func:`~repro.core.reports.patch_health`)."""
         states = {member.name: member.state for member in self.members}
         alive = len(self.environment.alive_members())
-        health = (self.clearview.guardrails.report()
-                  if self.clearview is not None
-                  else PatchHealthLedger().report())
+        sessions = (self.clearview.sessions.values()
+                    if self.clearview is not None else ())
         return {
             "members": states,
             "alive": alive,
@@ -433,7 +432,7 @@ class CommunityManager:
             "quorum": alive >= self.min_members,
             "degraded": alive < len(self.members),
             "dropped": [dropped.name for dropped in self.transport.dropped],
-            "patch_health": health,
+            "patch_health": patch_health(sessions),
             "revived": list(self.revived),
         }
 
@@ -691,74 +690,53 @@ class CommunityManager:
         before any verdict is collected, so candidates genuinely run
         concurrently.
 
+        Each candidate is vetted first (``ClearView._veto``): a
+        statically-unsafe one is vetoed before the wave is formed, at
+        zero member kills and zero rounds.  The best-ranked success of a
+        wave is deployed community-wide through the core's own install
+        path (``ClearView._deploy``).
+
         Toxic-candidate containment: a member that fails mid-trial is
         dropped and its candidate returns to the front of the queue, to
         be retried on a *different* member before the candidate is
         charged — a single casualty may be the member's fault.  A
-        candidate that kills :data:`~repro.dynamo.guardrails.TOXIC_KILLS`
-        members is marked toxic in the patch-health ledger, blacklisted
-        out of the evaluator, and its victims relaunched on transports
-        that support respawn (the members were not at fault).
+        candidate that kills
+        :data:`~repro.core.evaluation.TOXIC_KILLS` distinct members is
+        toxic: failed, blacklisted out of the evaluator, and its victims
+        relaunched on transports that support respawn (the members were
+        not at fault).
         """
-        assert self.clearview is not None
-        session = self.clearview.sessions.get(failure_pc)
+        clearview = self.clearview
+        assert clearview is not None
+        session = clearview.sessions.get(failure_pc)
         if session is None or session.evaluator is None:
             raise RuntimeError("no repair evaluation in progress for "
                                f"{failure_pc:#x}")
         # Take over from the sequential evaluator: withdraw whatever trial
-        # repair it had distributed before farming out the candidates
-        # (the core's removal path, so the ledger records the withdrawal).
-        self.clearview._remove_current_patches(session)
-        guardrails = self.clearview.guardrails
+        # repair it had distributed before farming out the candidates.
+        clearview._remove_current_patches(session)
         rounds = 0
+        # Vetoed candidates never join a wave: they cost no member kills
+        # and no rounds.
         queue = [scored for scored in session.evaluator.ranking()
-                 if not scored.blacklisted]
-        if self.clearview.config.static_vetting:
-            # Pre-deployment vetting: eject statically-unsafe candidates
-            # here, before the wave is even formed — they cost zero
-            # member kills and zero evaluation rounds.
-            admitted = []
-            for scored in queue:
-                report = self.clearview.vet_candidate(
-                    scored.candidate, session.failure_id)
-                if report.accepted:
-                    admitted.append(scored)
-                    continue
-                key = scored.candidate.description
-                rules = tuple(dict.fromkeys(
-                    finding.rule for finding in report.findings))
-                session.evaluator.record_failure(scored)
-                session.evaluator.blacklist(scored)
-                guardrails.record_vetoed(key,
-                                         failure_id=session.failure_id,
-                                         rules=rules)
-                self.clearview.events.append(
-                    f"candidate-vetoed {session.failure_id}: {key} "
-                    f"[{', '.join(rules)}]")
-            queue = admitted
-        #: id(scored) -> member handles this candidate killed.
-        kills: dict[int, list] = {}
+                 if not scored.blacklisted
+                 and not clearview._veto(session, scored)]
 
         def charge_kill(member, scored) -> bool:
             """Attribute a casualty; returns True if the candidate
             should be retried (not yet toxic)."""
-            key = scored.candidate.description
-            victims = kills.setdefault(id(scored), [])
-            victims.append(member)
-            guardrails.record_member_kill(key, [member.name],
-                                          failure_id=session.failure_id)
-            if len(victims) < TOXIC_KILLS:
+            if not session.evaluator.record_kill(scored, member.name):
                 return True
-            # Toxic: eject from the pool for good and make amends to
-            # the members it took down.
-            session.evaluator.record_failure(scored)
-            session.evaluator.blacklist(scored)
-            guardrails.record_toxic(key, failure_id=session.failure_id)
-            self.clearview.events.append(
-                f"candidate-toxic {session.failure_id}: {key}")
-            for victim in victims:
+            # Toxic, so out of the pool for good: make amends to the
+            # members it took down.
+            clearview.events.append(
+                f"candidate-toxic {session.failure_id}: "
+                f"{scored.candidate.description}")
+            by_name = {peer.name: peer for peer in self.members}
+            for name in scored.killed_members:
+                victim = by_name[name]
                 if not victim.alive and self.transport.respawn(victim):
-                    self.revived.append(victim.name)
+                    self.revived.append(name)
             return False
 
         while queue:
@@ -779,10 +757,9 @@ class CommunityManager:
                 if not free:
                     deferred.append(scored)
                     continue
-                victims = {victim.name
-                           for victim in kills.get(id(scored), ())}
                 choice = next((member for member in free
-                               if member.name not in victims), free[0])
+                               if member.name not in scored.killed_members),
+                              free[0])
                 free.remove(choice)
                 wave.append((choice, scored))
             queue = deferred
@@ -824,19 +801,7 @@ class CommunityManager:
             queue[:0] = [scored for _, scored in wave
                          if any(scored is victim for victim in retry)]
             if winner is not None:
-                # Distribute the winner community-wide and record its
-                # deployment in the patch-health ledger.
-                patches = build_repair_patch(
-                    self.binary, winner.candidate, session.failure_id,
-                    database=self.database)
-                self.environment.clear_patches(
-                    lambda patch: patch.failure_id == session.failure_id)
-                for patch in patches:
-                    self.environment.install_patch(patch)
-                session.current_repair = winner
-                session.current_patches = patches
+                clearview._deploy(session, winner)
                 session.state = SessionState.PATCHED
-                guardrails.watch(winner.candidate.description,
-                                 session.failure_id)
                 return rounds
         return rounds

@@ -42,6 +42,7 @@ from repro.core.policies import AdaptivePolicyConfig, AdaptiveProtection
 from repro.core.reports import (
     FailureReport,
     RepairReport,
+    patch_health,
     report_all,
     report_session,
     summarize,
@@ -57,8 +58,8 @@ __all__ = [
     "NEVER_FAILED_BONUS", "RepairEvaluator", "ScoredRepair",
     "CandidateRepair", "RepairAction", "build_repair_patch",
     "generate_candidate_repairs",
-    "FailureReport", "RepairReport", "report_all", "report_session",
-    "summarize",
+    "FailureReport", "RepairReport", "patch_health", "report_all",
+    "report_session", "summarize",
     "BlockClusters", "BlockCoverageRecorder", "cluster_candidates",
     "AdaptivePolicyConfig", "AdaptiveProtection",
 ]

@@ -40,14 +40,17 @@ from repro.core.correlation import (
     classify,
     select_for_repair,
 )
-from repro.core.evaluation import RepairEvaluator, ScoredRepair
+from repro.core.evaluation import (
+    REVOCATION_BLACKLIST,
+    RepairEvaluator,
+    ScoredRepair,
+)
 from repro.core.repair import (
     CandidateRepair,
     build_repair_patch,
     generate_candidate_repairs,
 )
 from repro.dynamo.execution import ManagedEnvironment, Outcome, RunResult
-from repro.dynamo.guardrails import REVOCATION_BLACKLIST, PatchHealthLedger
 from repro.dynamo.patches import Patch
 from repro.learning.database import InvariantDatabase
 from repro.learning.invariants import Invariant, LessThan, LowerBound, OneOf
@@ -70,11 +73,6 @@ class ClearViewConfig:
     #: Failures with checks in place before classification (§3.2: checks
     #: are removed on the second such notification).
     check_failures_required: int = 2
-    #: Vet each candidate's compiled patches with the static dataflow
-    #: analyzer before deployment (:mod:`repro.analysis.vetting`);
-    #: statically-unsafe candidates are blacklisted without ever running
-    #: on a member.  Disable to exercise the dynamic-only backstop.
-    static_vetting: bool = True
 
 
 @dataclass
@@ -166,9 +164,6 @@ class ClearView:
         self.sink = ObservationSink()
         #: Log of (event, session failure_id) strings, for reports/tests.
         self.events: list[str] = []
-        #: The verdicts reached on each repair, for reports (see
-        #: :mod:`repro.dynamo.guardrails`).
-        self.guardrails = PatchHealthLedger()
         self._vetter = None
 
     # ------------------------------------------------------------------
@@ -396,35 +391,31 @@ class ClearView:
         return self.vetter.vet(patches,
                                description=candidate.description)
 
-    def _veto(self, session: FailureSession, scored: ScoredRepair,
-              report) -> None:
-        """Blacklist a statically-unsafe candidate before deployment."""
+    def _veto(self, session: FailureSession, scored: ScoredRepair) -> bool:
+        """Vet *scored* before deployment; a statically-unsafe candidate
+        is failed and blacklisted.  Returns whether it was vetoed."""
         assert session.evaluator is not None
-        key = scored.candidate.description
-        rules = tuple(dict.fromkeys(
+        vet_start = time.perf_counter()
+        report = self.vet_candidate(scored.candidate, session.failure_id)
+        session.times.build_repairs += time.perf_counter() - vet_start
+        if report.accepted:
+            return False
+        scored.vetoed = True
+        scored.veto_rules = tuple(dict.fromkeys(
             finding.rule for finding in report.findings))
         session.evaluator.record_failure(scored)
         session.evaluator.blacklist(scored)
-        self.guardrails.record_vetoed(key, session.failure_id,
-                                      rules=rules)
         self.events.append(
-            f"repair-vetoed {session.failure_id}: {key} "
-            f"[{', '.join(rules)}]")
+            f"candidate-vetoed {session.failure_id}: "
+            f"{scored.candidate.description} "
+            f"[{', '.join(scored.veto_rules)}]")
+        return True
 
     def _apply_best_repair(self, session: FailureSession) -> None:
         assert session.evaluator is not None
-        while True:
-            best = session.evaluator.best()
-            if best is not None and self.config.static_vetting:
-                vet_start = time.perf_counter()
-                report = self.vet_candidate(best.candidate,
-                                            session.failure_id)
-                session.times.build_repairs += \
-                    time.perf_counter() - vet_start
-                if not report.accepted:
-                    self._veto(session, best, report)
-                    continue  # rotate to the next-best candidate
-            break
+        best = session.evaluator.best()
+        while best is not None and self._veto(session, best):
+            best = session.evaluator.best()  # the next-best candidate
         if best is None:
             # Every candidate is blacklisted (revoked twice, toxic, or
             # vetoed): the session is out of viable repairs for this
@@ -433,28 +424,29 @@ class ClearView:
             session.state = SessionState.EXHAUSTED
             self.events.append(f"repairs-exhausted {session.failure_id}")
             return
-        if session.current_repair is best and session.current_patches:
+        self._deploy(session, best)
+
+    def _deploy(self, session: FailureSession, scored: ScoredRepair) -> None:
+        """Make *scored* the session's current repair, installed on the
+        environment (every member, for a community)."""
+        if session.current_repair is scored and session.current_patches:
             return  # already applied
         install_start = time.perf_counter()
         self._remove_current_patches(session)
         patches = build_repair_patch(
-            self.environment.binary, best.candidate, session.failure_id,
+            self.environment.binary, scored.candidate, session.failure_id,
             database=self.database)
         for patch in patches:
             self.environment.install_patch(patch)
-        session.current_repair = best
+        session.current_repair = scored
         session.current_patches = patches
-        self.guardrails.watch(best.candidate.description,
-                              session.failure_id)
+        scored.deployments += 1
         session.times.install_repairs += time.perf_counter() - install_start
         self.events.append(
             f"repair-applied {session.failure_id}: "
-            f"{best.candidate.description}")
+            f"{scored.candidate.description}")
 
     def _remove_current_patches(self, session: FailureSession) -> None:
-        if session.current_repair is not None:
-            self.guardrails.unwatch(
-                session.current_repair.candidate.description)
         # A community environment withdraws patches with its idempotent
         # fleet-wide revoke (one wave, no member dropped over a patch it
         # no longer holds); a single managed instance removes directly.
@@ -496,12 +488,10 @@ class ClearView:
             # the community never oscillates between two half-working
             # repairs.
             scored.revocations += 1
-            self.guardrails.record_revocation(key)
             self.events.append(f"repair-revoked {session.failure_id}: "
                                f"{key}")
             if scored.revocations >= REVOCATION_BLACKLIST:
                 session.evaluator.blacklist(scored)
-                self.guardrails.record_blacklist(key)
                 self.events.append(
                     f"repair-blacklisted {session.failure_id}: {key}")
         session.state = SessionState.EVALUATING

@@ -20,6 +20,15 @@ from repro.core.repair import CandidateRepair
 #: policy; 1 keeps scores small and readable.
 NEVER_FAILED_BONUS = 1
 
+#: Flap damping: a repair revoked this many times is blacklisted for the
+#: session (§2.6 "repair that always works" — two half-working repairs
+#: must not oscillate).
+REVOCATION_BLACKLIST = 2
+
+#: Toxic containment: a candidate that kills this many *distinct*
+#: members during parallel evaluation is ejected from the pool.
+TOXIC_KILLS = 2
+
 
 @dataclass
 class ScoredRepair:
@@ -34,6 +43,16 @@ class ScoredRepair:
     #: Flap damping / toxic containment: a blacklisted repair is never
     #: selected again this session, no matter its score.
     blacklisted: bool = False
+    #: Times this repair was installed as its session's current repair.
+    deployments: int = 0
+    #: Rejected by the static vetter before any member ran it, and the
+    #: vetting rules that rejected it (e.g. ``"progress"``).
+    vetoed: bool = False
+    veto_rules: tuple[str, ...] = ()
+    #: The distinct community members that died evaluating it, and
+    #: whether they were :data:`TOXIC_KILLS` or more.
+    killed_members: tuple[str, ...] = ()
+    toxic: bool = False
 
     @property
     def score(self) -> int:
@@ -94,6 +113,20 @@ class RepairEvaluator:
     def record_failure(self, repair: ScoredRepair) -> None:
         repair.failures += 1
         self.evaluations += 1
+
+    def record_kill(self, repair: ScoredRepair, member: str) -> bool:
+        """Charge *repair* with a community member that died evaluating
+        it.  Once it has killed :data:`TOXIC_KILLS` distinct members it
+        is toxic: failed and blacklisted.  Returns whether it is toxic.
+        """
+        if member not in repair.killed_members:
+            repair.killed_members += (member,)
+        if len(repair.killed_members) < TOXIC_KILLS:
+            return False
+        repair.toxic = True
+        self.record_failure(repair)
+        self.blacklist(repair)
+        return True
 
     def ranking(self) -> list[ScoredRepair]:
         """All repairs, best first."""

@@ -9,10 +9,12 @@ patch."
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.core.clearview import ClearView, FailureSession, SessionState
 from repro.core.correlation import Correlation
+from repro.core.evaluation import ScoredRepair
 
 
 @dataclass
@@ -135,3 +137,58 @@ def summarize(clearview: ClearView) -> str:
     return (f"{len(sessions)} failure(s) observed: {patched} patched, "
             f"{evaluating} under repair evaluation, {exhausted} blocked "
             f"without a patch.")
+
+
+def _bad(scored: ScoredRepair) -> bool:
+    """Has a verdict gone against the repair in production?"""
+    return scored.revocations >= 1 or bool(scored.killed_members)
+
+
+def _health_status(scored: ScoredRepair) -> str:
+    """The strongest verdict reached on a repair."""
+    if scored.vetoed:
+        return "vetoed"
+    if scored.toxic:
+        return "toxic"
+    if scored.blacklisted:
+        return "blacklisted"
+    return "bad" if _bad(scored) else "healthy"
+
+
+def patch_health(sessions: Iterable[FailureSession]) -> dict:
+    """The verdicts reached on each repair (§2.6, §3.1), for
+    ``community_status()`` and the CLI.
+
+    Lists every repair that was ever deployed or vetoed, killed a
+    community member, or was found toxic.  A repair is ``deployed``
+    while it is its session's current repair, and ``bad`` once it was
+    revoked or killed a member.
+    """
+    listed = [(session, scored)
+              for session in sessions if session.evaluator is not None
+              for scored in session.evaluator.scored
+              if scored.deployments or scored.vetoed or scored.toxic
+              or scored.killed_members]
+    repairs = [scored for _, scored in listed]
+    return {
+        "watched": sum(scored is session.current_repair
+                       for session, scored in listed),
+        "bad": sum(_bad(scored) for scored in repairs),
+        "toxic": sum(scored.toxic for scored in repairs),
+        "blacklisted": sum(scored.blacklisted for scored in repairs),
+        "vetoed": sum(scored.vetoed for scored in repairs),
+        "revocations": sum(scored.revocations for scored in repairs),
+        "records": [{
+            "key": scored.candidate.description,
+            "failure_id": session.failure_id,
+            "status": _health_status(scored),
+            "deployed": scored is session.current_repair,
+            "member_kills": len(scored.killed_members),
+            "killed_members": list(scored.killed_members),
+            "revocations": scored.revocations,
+            "blacklisted": scored.blacklisted,
+            "toxic": scored.toxic,
+            "vetoed": scored.vetoed,
+            "veto_rules": list(scored.veto_rules),
+        } for session, scored in listed],
+    }

@@ -9,7 +9,6 @@ from repro.dynamo.execution import (
     Outcome,
     RunResult,
 )
-from repro.dynamo.guardrails import PatchHealthLedger, PatchHealthRecord
 from repro.dynamo.patches import (
     JumpPatch,
     Patch,
@@ -29,6 +28,5 @@ __all__ = [
     "MAX_INPUT_BYTES", "EnvironmentConfig", "ManagedEnvironment",
     "Outcome", "RunResult",
     "Patch", "PatchManager", "JumpPatch", "PokePatch",
-    "PatchHealthLedger", "PatchHealthRecord",
     "ENGINE_VERSION", "SCHEMA_VERSION", "load_snapshot", "save_snapshot",
 ]

@@ -61,9 +61,6 @@ class AttackResult:
     run_outcomes: list[Outcome] = field(default_factory=list)
     sessions: list[FailureSession] = field(default_factory=list)
     clearview: ClearView | None = None
-    #: Verdict summary (the patch-health ledger's
-    #: :meth:`~repro.dynamo.guardrails.PatchHealthLedger.report`).
-    patch_health: dict = field(default_factory=dict)
 
     @property
     def patched(self) -> bool:
@@ -156,7 +153,6 @@ class RedTeamExercise:
                 break
         result.sessions = sorted(clearview.sessions.values(),
                                  key=lambda session: session.failure_pc)
-        result.patch_health = clearview.guardrails.report()
         return result
 
     def attack_all(self, max_presentations: int = 30

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.vetting import VetReport
 from repro.apps import learning_pages
 from repro.community import CommunityManager
-from repro.core.clearview import ClearViewConfig
 from repro.dynamo import EnvironmentConfig, Outcome, RunResult
 from repro.redteam import (
     adversarial_candidates,
@@ -67,17 +67,27 @@ def normalized_patch_sets(manager) -> list[list[dict]]:
             if member.alive]
 
 
+def health_record(manager, key: str) -> dict:
+    """The community's patch-health record of the repair *key*."""
+    return next(record for record in
+                manager.community_status()["patch_health"]["records"]
+                if record["key"] == key)
+
+
 def drive_to_evaluation(manager, defect="mm-reuse-1"):
     """Learn, protect, and attack until a repair session is evaluating;
     returns (failure_pc, attack page).
 
-    Static vetting is disabled so these suites keep exercising the
-    *dynamic* containment path (toxic kills, revival, revocation waves)
-    — with the vetter on, the adversaries never reach a member at all
-    (that pipeline is pinned by ``test_static_vetting.py``).
+    The vetter accepts every candidate here, so these suites keep
+    exercising the *dynamic* containment path (toxic kills, revival,
+    revocation waves) — with the real vetter, the adversaries never
+    reach a member at all (that pipeline is pinned by
+    ``test_static_vetting.py``).
     """
     manager.learn_distributed(learning_pages())
-    manager.protect(ClearViewConfig(static_vetting=False))
+    manager.protect()
+    manager.clearview.vet_candidate = \
+        lambda candidate, failure_id="": VetReport()
     attack = exploit(defect)
     failure_pc = None
     for _ in range(3):
@@ -124,7 +134,7 @@ class TestChaosConvergence:
         # blacklisted, victims revived.
         toxic = [scored for scored in injected if scored.blacklisted]
         assert toxic, "no adversarial candidate was ejected as toxic"
-        report = manager.clearview.guardrails.report()
+        report = manager.community_status()["patch_health"]
         assert report["toxic"] >= 1
         toxic_records = [record for record in report["records"]
                          if record["status"] == "toxic"]
@@ -230,7 +240,7 @@ class TestRevocationWave:
                             lambda payload: failing)
         assert manager.attack(page) is failing
         monkeypatch.undo()
-        assert clearview.guardrails.records[key].revocations == 1
+        assert health_record(manager, key)["revocations"] == 1
 
         # The bad repair is off every member, its successor is on every
         # member, and the repair rotated.
@@ -280,7 +290,7 @@ class TestRevocationWave:
         clearview._repair_failed(session, 0.0)          # revocation 2
         assert victim.revocations == 2
         assert victim.blacklisted
-        assert clearview.guardrails.records[key].blacklisted
+        assert health_record(manager, key)["blacklisted"]
         assert any(event.startswith("repair-blacklisted")
                    for event in clearview.events)
         # Selection can never return to it.

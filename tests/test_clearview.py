@@ -7,7 +7,13 @@ import struct
 
 import pytest
 
-from repro.core import ClearView, ClearViewConfig, SessionState, summarize
+from repro.core import (
+    ClearView,
+    ClearViewConfig,
+    SessionState,
+    patch_health,
+    summarize,
+)
 from repro.core.correlation import Correlation, CorrelationConfig
 from repro.dynamo import (
     EnvironmentConfig,
@@ -206,11 +212,19 @@ def failure_at(pc: int):
                                      monitor="test")
 
 
+def health_record(clearview, scored) -> dict:
+    """The patch-health report's record of *scored*."""
+    return next(record for record in
+                patch_health(clearview.sessions.values())["records"]
+                if record["key"] == scored.candidate.description)
+
+
 class TestOneJudge:
     """§2.6: the core alone judges a repair, by the runs that follow
     it.  A failure at the repair's own location fails it, a crash
     blames the repairs whose enforcement fired, and a run the repair
-    survives is a success; the ledger only records the verdicts."""
+    survives is a success; the report reads the verdicts off the
+    session's repairs."""
 
     def test_foreign_failures_never_blame_deployed_repair(
             self, protected, monkeypatch):
@@ -231,8 +245,8 @@ class TestOneJudge:
         assert session.state is SessionState.PATCHED
         assert proven.failures == 0 and session.unsuccessful_runs == 0
         assert proven.successes == successes + 3
-        record = clearview.guardrails.records[proven.candidate.description]
-        assert record.deployed and record.status == "healthy"
+        record = health_record(clearview, proven)
+        assert record["deployed"] and record["status"] == "healthy"
         installed = {patch.description
                      for patch in clearview.environment.patches}
         assert proven.candidate.description in installed
@@ -251,19 +265,44 @@ class TestOneJudge:
         present(clearview, monkeypatch, failure_at(session.failure_pc))
         assert proven.failures == 1 and session.unsuccessful_runs == 1
         assert session.state is SessionState.EVALUATING
-        record = clearview.guardrails.records[key]
-        assert record.revocations == 1 and not record.deployed
-        assert record.status == "bad"
+        record = health_record(clearview, proven)
+        assert record["revocations"] == 1 and not record["deployed"]
+        assert record["status"] == "bad"
         assert any(event.startswith("repair-revoked")
                    for event in clearview.events)
         successor = session.current_repair
         assert successor is not proven and successor.never_failed
-        assert clearview.guardrails.records[
-            successor.candidate.description].deployed
+        assert health_record(clearview, successor)["deployed"]
         installed = {patch.description
                      for patch in clearview.environment.patches}
         assert key not in installed
         assert successor.candidate.description in installed
+
+    def test_revoked_repair_that_still_ranks_best_stays_deployed(
+            self, protected, monkeypatch):
+        """A deployed repair fails at its own location while every other
+        candidate has already failed once: it is revoked, still ranks
+        best, and so stays installed.  The report must say it is
+        deployed."""
+        binary, clearview = protected
+        for _ in range(4):
+            clearview.run(attack_page())
+        session = next(iter(clearview.sessions.values()))
+        proven = session.current_repair
+        assert session.state is SessionState.PATCHED
+        for scored in session.evaluator.scored:
+            if scored is not proven:
+                session.evaluator.record_failure(scored)
+        present(clearview, monkeypatch, failure_at(session.failure_pc))
+        assert proven.failures == 1 and proven.revocations == 1
+        assert session.current_repair is proven
+        installed = {patch.description
+                     for patch in clearview.environment.patches}
+        assert proven.candidate.description in installed
+        health = patch_health(clearview.sessions.values())
+        assert health["watched"] == 1 and health["revocations"] == 1
+        record = health_record(clearview, proven)
+        assert record["deployed"] and record["status"] == "bad"
 
     @pytest.mark.parametrize("state,fired,blamed", [
         (SessionState.PATCHED, True, True),

@@ -24,6 +24,14 @@ class TestCommands:
         assert "gc-collect" in out
         assert "unpatchable" in out
 
+    def test_community_report(self, capsys):
+        """The in-process community learns, is patched, and the report
+        renders the patch-health summary."""
+        assert main(["community", "--members", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "patch health:      1 watched, 0 bad, 0 toxic, " \
+            "0 blacklisted, 0 revocation(s)" in out.splitlines()
+
     def test_learn(self, capsys):
         assert main(["learn"]) == 0
         out = capsys.readouterr().out

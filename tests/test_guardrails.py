@@ -1,129 +1,162 @@
-"""The patch-health ledger: a record of repair verdicts (§2.6 cont'd).
+"""Repair verdicts and the patch-health report (§2.6 cont'd).
 
-Unit coverage for :mod:`repro.dynamo.guardrails`.  The ledger decides
-nothing: the ClearView core judges repairs and the community manager
-judges candidates, and both record their verdicts here (member kills,
-toxicity, revocations, blacklisting, vetoes) for ``community_status()``
-and the CLI.
+Every verdict on a repair lives on its session's
+:class:`~repro.core.evaluation.ScoredRepair`: revocations and flap
+damping from the ClearView core, vetoes from the static vetter, member
+kills and toxicity from the community's parallel evaluator.
+:func:`~repro.core.reports.patch_health` reads them back for
+``community_status()`` and the CLI; it decides nothing.
 """
 
 from __future__ import annotations
 
-from repro.core import SessionState
-from repro.dynamo import Outcome, RunResult
-from repro.dynamo.guardrails import (
-    PatchHealthLedger,
-    PatchHealthRecord,
-    REVOCATION_BLACKLIST,
-    TOXIC_KILLS,
+from repro.analysis.vetting import VetFinding, VetReport
+from repro.core import (
+    FailureSession,
+    RepairEvaluator,
+    SessionState,
+    patch_health,
+    summarize,
 )
+from repro.core.evaluation import TOXIC_KILLS
+from repro.core.repair import CandidateRepair, RepairAction
+from repro.dynamo import Outcome, RunResult
+from repro.learning import OneOf, Variable
 from repro.redteam import exploit
 
 
-def watched_ledger():
-    ledger = PatchHealthLedger()
-    ledger.watch("repair-A", "fault@0x40")
-    return ledger
+def evaluating_session(*keys: str) -> FailureSession:
+    """A session evaluating one candidate repair per key, in rank
+    order."""
+    invariant = OneOf(variable=Variable(0x40, "target"),
+                      values=frozenset({0x1000}))
+    candidates = [CandidateRepair(invariant=invariant,
+                                  action=RepairAction.SET_VALUE,
+                                  variant=variant, description=key)
+                  for variant, key in enumerate(keys)]
+    session = FailureSession(failure_pc=0x40, monitor="fault",
+                             state=SessionState.EVALUATING)
+    session.evaluator = RepairEvaluator(candidates)
+    return session
 
 
-class TestLifecycleVerdicts:
-    def test_member_kill_creates_record(self):
-        ledger = PatchHealthLedger()
-        ledger.record_member_kill("cand-X", ["node-1"],
-                                  failure_id="fault@0x40")
-        record = ledger.records["cand-X"]
+def records(*sessions: FailureSession) -> dict[str, dict]:
+    return {record["key"]: record
+            for record in patch_health(sessions)["records"]}
+
+
+class TestVerdicts:
+    def test_member_kill_lists_undeployed_candidate(self):
+        session = evaluating_session("cand-X")
+        scored = session.evaluator.scored[0]
+        assert not session.evaluator.record_kill(scored, "node-1")
+        record = records(session)["cand-X"]
         # One kill already makes the record bad.
-        assert record.bad
-        assert record.status == "bad"
-        assert record.member_kills == 1
-        assert record.killed_members == ("node-1",)
+        assert record["status"] == "bad"
+        assert record["member_kills"] == 1
+        assert record["killed_members"] == ["node-1"]
+        assert not record["deployed"] and not record["toxic"]
 
-    def test_kills_count_distinct_members(self):
-        ledger = PatchHealthLedger()
-        ledger.record_member_kill("cand-X", ["node-1"])
-        ledger.record_member_kill("cand-X", ["node-1", "node-2"])
-        assert ledger.records["cand-X"].member_kills == 2
-        assert ledger.records["cand-X"].member_kills >= TOXIC_KILLS
+    def test_toxic_counts_distinct_members(self):
+        session = evaluating_session("cand-X")
+        evaluator = session.evaluator
+        scored = evaluator.scored[0]
+        assert not evaluator.record_kill(scored, "node-1")
+        assert not evaluator.record_kill(scored, "node-1")
+        assert scored.failures == 0 and not scored.blacklisted
+        assert evaluator.record_kill(scored, "node-2")
+        assert scored.toxic and scored.blacklisted
+        assert scored.failures == 1
+        assert evaluator.best() is None
+        record = records(session)["cand-X"]
+        assert record["status"] == "toxic"
+        assert record["member_kills"] == TOXIC_KILLS
 
-    def test_revocations_counted_not_judged(self):
-        """Flap damping is the core's verdict: ``_repair_failed``
-        blacklists and records it; counting revocations does not."""
-        ledger = watched_ledger()
-        for count in range(1, REVOCATION_BLACKLIST + 1):
-            assert ledger.record_revocation("repair-A") == count
-        record = ledger.records["repair-A"]
-        assert not record.deployed
-        assert not record.blacklisted
-        assert record.status == "bad"
-        ledger.record_blacklist("repair-A")
-        assert record.status == "blacklisted"
-
-    def test_toxic_record_created_on_demand(self):
-        ledger = PatchHealthLedger()
-        ledger.record_toxic("cand-Y", failure_id="fault@0x40")
-        record = ledger.records["cand-Y"]
-        assert record.toxic and record.blacklisted
-        assert record.status == "toxic"
-
-    def test_report_summarizes(self):
-        ledger = watched_ledger()
-        ledger.record_revocation("repair-A")
-        ledger.record_toxic("cand-Y")
-        report = ledger.report()
-        assert report["watched"] == 0  # revocation undeployed repair-A
-        assert report["bad"] == 1
-        assert report["toxic"] == 1
-        assert report["blacklisted"] == 1
-        assert report["revocations"] == 1
-        assert {record["key"] for record in report["records"]} == \
-            {"repair-A", "cand-Y"}
-
-
-class TestRecords:
-    def test_redeployment_keeps_history(self):
-        ledger = watched_ledger()
-        ledger.record_revocation("repair-A")
-        ledger.watch("repair-A", "fault@0x40")
-        record = ledger.records["repair-A"]
-        assert record.deployed and record.revocations == 1
-        assert record.status == "bad"
-        ledger.unwatch("repair-A")
-        assert not record.deployed and record.revocations == 1
-        assert ledger.report()["watched"] == 0
-
-    def test_unknown_repairs_are_not_recorded(self):
-        """Revocation and blacklisting follow a deployment: for a repair
-        the ledger never saw deployed they record nothing."""
-        ledger = PatchHealthLedger()
-        assert ledger.record_revocation("ghost") == 0
-        ledger.record_blacklist("ghost")
-        ledger.unwatch("ghost")
-        assert ledger.records == {}
-
-    def test_veto_blacklists_without_kills(self):
-        ledger = PatchHealthLedger()
-        ledger.record_vetoed("cand-V", "fault@0x40", rules=("progress",))
-        ledger.record_vetoed("cand-V", rules=("progress", "stack"))
-        record = ledger.records["cand-V"]
-        assert record.vetoed and record.blacklisted
-        assert record.veto_rules == ("progress", "stack")
-        assert record.member_kills == 0 and not record.bad
-        assert record.status == "vetoed"
-        assert ledger.report()["vetoed"] == 1
+    def test_veto_blacklists_without_kills(self, prepared_exercise):
+        clearview = prepared_exercise._clearview()
+        session = evaluating_session("cand-V", "cand-W")
+        vetoed, accepted = session.evaluator.scored
+        findings = [VetFinding(rule=rule, pc=0x40, detail="")
+                    for rule in ("progress", "progress", "write-region")]
+        clearview.vet_candidate = lambda candidate, failure_id="": \
+            VetReport(findings=findings if candidate is vetoed.candidate
+                      else [])
+        assert clearview._veto(session, vetoed)
+        assert not clearview._veto(session, accepted)
+        assert vetoed.blacklisted and vetoed.failures == 1
+        assert vetoed.veto_rules == ("progress", "write-region")
+        assert not accepted.vetoed and accepted.failures == 0
+        assert clearview.events == [
+            "candidate-vetoed fault@0x40: cand-V [progress, write-region]"]
+        report = patch_health([session])
+        assert report["vetoed"] == 1 and report["bad"] == 0
+        (record,) = report["records"]
+        assert record["key"] == "cand-V" and record["status"] == "vetoed"
+        assert record["member_kills"] == 0
 
     def test_status_precedence(self):
         """The report shows a record's strongest verdict."""
-        record = PatchHealthRecord(key="repair-A", failure_id="fault@0x40")
-        statuses = [record.status]
+        session = evaluating_session("repair-A")
+        scored = session.evaluator.scored[0]
+        scored.deployments = 1
+        statuses = [records(session)["repair-A"]["status"]]
         for verdict in ("revocations", "blacklisted", "toxic", "vetoed"):
-            setattr(record, verdict, True)
-            statuses.append(record.status)
+            setattr(scored, verdict, True)
+            statuses.append(records(session)["repair-A"]["status"])
         assert statuses == ["healthy", "bad", "blacklisted", "toxic",
                             "vetoed"]
 
 
+class TestReport:
+    def test_empty(self):
+        assert patch_health(()) == {
+            "watched": 0, "bad": 0, "toxic": 0, "blacklisted": 0,
+            "vetoed": 0, "revocations": 0, "records": []}
+
+    def test_candidates_without_verdicts_are_not_listed(self):
+        """Only repairs ever deployed, vetoed, toxic or that killed a
+        member are listed; a checking session has no repairs yet."""
+        checking = FailureSession(failure_pc=0x80, monitor="fault")
+        assert patch_health([evaluating_session("a", "b"),
+                             checking])["records"] == []
+
+    def test_deployed_follows_the_current_repair(self):
+        """Redeployment keeps a repair's history; ``deployed`` is
+        whether it is its session's current repair."""
+        session = evaluating_session("repair-A")
+        scored = session.evaluator.scored[0]
+        scored.deployments, scored.revocations = 2, 1
+        session.current_repair = scored
+        record = records(session)["repair-A"]
+        assert record["deployed"] and record["revocations"] == 1
+        assert record["status"] == "bad"
+        session.current_repair = None
+        report = patch_health([session])
+        assert report["watched"] == 0
+        assert report["records"][0]["revocations"] == 1
+
+    def test_report_summarizes(self):
+        first = evaluating_session("repair-A", "cand-Y", "cand-Z")
+        repair, toxic, idle = first.evaluator.scored
+        repair.deployments, repair.revocations = 1, 1
+        first.current_repair = repair
+        for member in ("node-1", "node-2"):
+            first.evaluator.record_kill(toxic, member)
+        second = evaluating_session("repair-B")
+        second.evaluator.scored[0].deployments = 1
+        second.current_repair = second.evaluator.scored[0]
+        report = patch_health([first, second])
+        assert report["watched"] == 2
+        assert report["bad"] == 2
+        assert report["toxic"] == 1
+        assert report["blacklisted"] == 1
+        assert report["revocations"] == 1
+        assert [record["key"] for record in report["records"]] == \
+            ["repair-A", "cand-Y", "repair-B"]
+
+
 class TestCoreVerdicts:
-    """Browser scale: the ledger follows the verdicts the §2.6 core
+    """Browser scale: the report follows the verdicts the §2.6 core
     reaches on a deployed repair."""
 
     def test_revocation_recorded_and_attack_reblocked(self,
@@ -141,7 +174,7 @@ class TestCoreVerdicts:
         assert session is not None and session.state is SessionState.PATCHED
         revoked = session.current_repair
         key = revoked.candidate.description
-        assert clearview.guardrails.report()["watched"] == 1
+        assert patch_health([session])["watched"] == 1
 
         # The deployed repair fails at its own location.
         failing = RunResult(outcome=Outcome.FAILURE, output=[], steps=0,
@@ -151,9 +184,9 @@ class TestCoreVerdicts:
             scripted.setattr(clearview.environment, "run",
                              lambda payload: failing)
             clearview.run(attack.page())
-        record = clearview.guardrails.records[key]
-        assert record.revocations == 1 and not record.deployed
-        assert record.status == "bad"
+        record = records(session)[key]
+        assert record["revocations"] == 1 and not record["deployed"]
+        assert record["status"] == "bad"
 
         # Real attacks again: a successor is deployed and blocks them.
         outcomes = []
@@ -165,7 +198,10 @@ class TestCoreVerdicts:
         assert session.state is SessionState.PATCHED
         successor = session.current_repair
         assert successor is not revoked
-        assert clearview.guardrails.records[
-            successor.candidate.description].status == "healthy"
-        report = clearview.guardrails.report()
+        assert records(session)[
+            successor.candidate.description]["status"] == "healthy"
+        report = patch_health([session])
         assert report["watched"] == 1 and report["revocations"] == 1
+        text = summarize(clearview)
+        assert "1 failure(s)" in text
+        assert "1 patched" in text

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import SessionState
+from repro.core import SessionState, patch_health
 from repro.core.repair import RepairAction
 from repro.dynamo import Outcome
 from repro.redteam import RedTeamExercise, exploit
@@ -22,51 +22,54 @@ PATCHED, EVALUATING = SessionState.PATCHED, SessionState.EVALUATING
 #: documented configuration (``_for_defect``) for up to 20 presentations.
 #: A row pins the presentation that survived and, per failure session in
 #: pc order, the final state, the deployed repair and its unsuccessful
-#: repair runs (Table 3's column).  Table 1 counts presentations only;
-#: this pins which repair each session ends on.  311710 (neg-index) ends
-#: on the index lower bound at all three defects, with no unsuccessful
-#: runs: a repair is never blamed for the next defect firing.
+#: repair runs (Table 3's column), and the patch-health report's
+#: ``watched`` and record counts (every record healthy).  Table 1 counts
+#: presentations only; this pins which repair each session ends on.
+#: 311710 (neg-index) ends on the index lower bound at all three
+#: defects, with no unsuccessful runs: a repair is never blamed for the
+#: next defect firing.
 GOLDEN_REPAIRS = [
-    ("js-type-1", 4, [
+    ("js-type-1", 4, (1, 1), [
         (PATCHED, "if !(0x1030:target in {4992}) then "
                   "0x1030:target = 4992", 0)]),
-    ("gc-collect", 4, [
+    ("gc-collect", 4, (1, 1), [
         (PATCHED, "if !(0x1170:target in {4992}) then "
                   "0x1170:target = 4992", 0)]),
-    ("neg-strlen", 4, [
+    ("neg-strlen", 4, (1, 1), [
         (PATCHED, "if !(3 <= 0x2410:value) then 0x2410:value = 3", 0)]),
-    ("js-type-2", 5, [
+    ("js-type-2", 5, (1, 2), [
         (PATCHED, "skip call unless 0x10d0:target in {5248}", 1)]),
-    ("mm-reuse-1", 6, [
+    ("mm-reuse-1", 6, (1, 3), [
         (PATCHED, "return from procedure unless 0x1220:target in {5104}",
          2)]),
-    ("mm-reuse-2", 6, [
+    ("mm-reuse-2", 6, (1, 3), [
         (PATCHED, "return from procedure unless 0x1300:target in {5104}",
          2)]),
-    ("gif-sign", 4, [
+    ("gif-sign", 4, (1, 1), [
         (PATCHED, "if !(0 <= 0x15a0:value) then 0x15a0:value = 0", 0)]),
-    ("int-overflow", 4, [
+    ("int-overflow", 4, (1, 1), [
         (PATCHED, "if !(0x1d20:dst <= 0x1cd0:dst) then "
                   "0x1d20:dst = 0x1cd0:dst", 0)]),
-    ("neg-index", 12, [
+    ("neg-index", 12, (3, 3), [
         (PATCHED, "if !(1000 <= 0x20a0:value) then 0x20a0:value = 1000",
          0),
         (PATCHED, "if !(1000 <= 0x21c0:value) then 0x21c0:value = 1000",
          0),
         (PATCHED, "if !(1000 <= 0x22e0:value) then 0x22e0:value = 1000",
          0)]),
-    ("soft-hyphen", None, [
+    ("soft-hyphen", None, (1, 1), [
         (EVALUATING, "if !(1 <= 0x19b0:dst) then 0x19b0:dst = 1", 17)]),
 ]
 
 
 class TestSingleVariantAttacks:
     @pytest.mark.parametrize(
-        "defect_id,expected,sessions", GOLDEN_REPAIRS,
+        "defect_id,expected,reported,sessions", GOLDEN_REPAIRS,
         ids=[f"{defect_id}-{expected}"
-             for defect_id, expected, _ in GOLDEN_REPAIRS])
+             for defect_id, expected, _, _ in GOLDEN_REPAIRS])
     def test_presentations_match_table1(self, prepared_exercise,
-                                        defect_id, expected, sessions):
+                                        defect_id, expected, reported,
+                                        sessions):
         attack = exploit(defect_id)
         result = prepared_exercise._for_defect(attack).attack(
             attack, max_presentations=20)
@@ -75,6 +78,10 @@ class TestSingleVariantAttacks:
         assert [(session.state, session.current_repair.candidate.description,
                  session.unsuccessful_runs)
                 for session in result.sessions] == sessions
+        health = patch_health(result.sessions)
+        assert (health["watched"], len(health["records"])) == reported
+        assert {record["status"] for record in health["records"]} == \
+            {"healthy"}
 
     def test_mm_reuse_third_patch_is_return(self, prepared_exercise):
         """269095: the successful patch is return-from-procedure, after

@@ -6,7 +6,7 @@ community member — no kills, no respawns, no containment rounds — while
 legitimate candidates from real learn/attack runs on both shipped
 applications are never rejected (zero false positives).  The dynamic
 containment path stays covered by ``test_chaos_community.py``, which
-pins the same chaos suites with vetting disabled.
+pins the same chaos suites under a vetter that accepts everything.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class TestChaosVetting:
         # Every statically-provable adversary was vetoed pre-deployment.
         vetoed_keys = {record["key"]
                        for record in
-                       manager.clearview.guardrails.report()["records"]
+                       manager.community_status()["patch_health"]["records"]
                        if record["vetoed"]}
         for scored in injected:
             kind = scored.candidate.chaos_kind
@@ -146,7 +146,7 @@ class TestChaosVetting:
         assert manager.dropped_members == []
         assert manager.revived == []
         assert len(manager.environment.alive_members()) == 4
-        report = manager.clearview.guardrails.report()
+        report = manager.community_status()["patch_health"]
         assert report["toxic"] == 0
         assert report["vetoed"] >= 3
         assert all(record["member_kills"] == 0
