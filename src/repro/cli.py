@@ -377,8 +377,7 @@ def _cmd_snapshot(args) -> int:
         cache = environment.last_code_cache
         size = save_snapshot(args.file, cache)
         print(f"wrote {args.file}: {size} bytes, "
-              f"{cache.cached_block_count} cached blocks, "
-              f"{len(cache.block_map.blocks)} discovered")
+              f"{cache.cached_block_count} cached blocks")
         return 0
     try:
         payload = read_snapshot(args.file)
@@ -388,8 +387,7 @@ def _cmd_snapshot(args) -> int:
     print(f"schema:      {payload.get('schema')}")
     print(f"engine:      {payload.get('engine')}")
     print(f"binary:      {str(payload.get('binary'))[:16]}…")
-    print(f"blocks:      {len(payload.get('blocks', []))} "
-          f"({len(payload.get('cached', []))} cached)")
+    print(f"reached:     {len(payload.get('reached', []))} block starts")
     print(f"trace paths: "
           f"{sum(1 for p in payload.get('trace_paths', {}).values() if p)}")
     if "ledger_epoch" in payload:

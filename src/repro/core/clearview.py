@@ -393,12 +393,20 @@ class ClearView:
 
     def _veto(self, session: FailureSession, scored: ScoredRepair) -> bool:
         """Vet *scored* before deployment; a statically-unsafe candidate
-        is failed and blacklisted.  Returns whether it was vetoed."""
+        is failed and blacklisted.  Returns whether it was vetoed.
+
+        An accepted verdict is kept on *scored* for the model it was
+        reached under, so a candidate is vetted once per model."""
         assert session.evaluator is not None
+        vetted = scored.vetted_model
+        if vetted is not None and vetted[0] is self.database and \
+                vetted[1] == self.procedures.version:
+            return False
         vet_start = time.perf_counter()
         report = self.vet_candidate(scored.candidate, session.failure_id)
         session.times.build_repairs += time.perf_counter() - vet_start
         if report.accepted:
+            scored.vetted_model = (self.database, self.procedures.version)
             return False
         scored.vetoed = True
         scored.veto_rules = tuple(dict.fromkeys(

@@ -53,6 +53,12 @@ class ScoredRepair:
     #: whether they were :data:`TOXIC_KILLS` or more.
     killed_members: tuple[str, ...] = ()
     toxic: bool = False
+    #: The model an accepted vet verdict holds for: the invariant
+    #: database object and procedure-database version it was vetted
+    #: against.  A new model (``adopt_model``, quarantine absorption)
+    #: or newly discovered procedures force a re-vet.
+    vetted_model: tuple | None = field(default=None, compare=False,
+                                       repr=False)
 
     @property
     def score(self) -> int:

@@ -1,14 +1,20 @@
-"""Basic block discovery over stripped binary images.
+"""Basic blocks over stripped binary images.
 
-A basic block starts at a control-transfer target (or the entry point) and
-extends to the first block-ending instruction (jump, branch, call, return,
-halt).  Like DynamoRIO, discovery is purely dynamic: blocks are decoded the
-first time control reaches them, so the system never needs static procedure
-boundaries — which a stripped binary does not have.
+A basic block starts where control arrives (a transfer target, a
+not-taken branch's fall-through, or the entry point) and extends to the
+first block-ending instruction (jump, branch, call, return, halt).  Like
+DynamoRIO, discovery is purely dynamic: a code cache reaches blocks the
+first time control does, so the system never needs static procedure
+boundaries — which a stripped binary does not have.  The cache's blocks
+are a function of the image and the start pc (:class:`BlockMap`); the
+procedure CFGs of :mod:`repro.cfg` split blocks at every known start
+instead (:func:`decode_block`'s ``stop_before``), since predominator
+scoping needs blocks that never overlap.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import InvalidInstruction
@@ -25,12 +31,16 @@ from repro.vm.isa import (
 class BasicBlock:
     """A run of straight-line instructions ending in a control transfer.
 
-    ``truncated`` marks a block that was cut short because it ran into
-    another block's start; it implicitly falls through to ``end``.
+    ``truncated`` marks a procedure-CFG block (:func:`decode_block`) that
+    was cut short because it ran into another block's start; it
+    implicitly falls through to ``end``.  Code-cache blocks never are:
+    their ``instructions`` are the binary's shared, immutable block
+    index entry.
     """
 
     start: int
-    instructions: list[tuple[int, Instruction]] = field(default_factory=list)
+    instructions: Sequence[tuple[int, Instruction]] = field(
+        default_factory=list)
     truncated: bool = False
 
     @property
@@ -90,7 +100,8 @@ def decode_block(binary: Binary, start: int,
 
     ``stop_before`` lists addresses already known to start other blocks;
     decoding stops (with an implicit fall-through) when it would run into
-    one, which keeps blocks non-overlapping once the block map is warm.
+    one, which keeps a procedure CFG's blocks non-overlapping.  Without
+    it the block is the image's :meth:`~repro.vm.binary.Binary.block_at`.
     """
     block = BasicBlock(start=start)
     pc = start
@@ -112,22 +123,19 @@ def decode_block(binary: Binary, start: int,
 
 
 class BlockMap:
-    """All basic blocks discovered so far, keyed by start address.
+    """The basic blocks one code cache has reached, keyed by start
+    address, in the order they were reached.
 
-    The map also answers the *membership* question Memory Firewall needs:
-    "is this address a legitimate transfer target?" — legitimate targets
-    are block starts and instruction addresses inside discovered blocks.
+    Extents are not the map's own: a block is a function of the image
+    and its start pc (:meth:`~repro.vm.binary.Binary.block_at`), shared
+    by every map and CPU on the binary.  A start inside a reached
+    block's extent begins a second, overlapping block — DynamoRIO's
+    rule — so no extent depends on which block was reached first.
     """
 
     def __init__(self, binary: Binary):
         self.binary = binary
         self.blocks: dict[int, BasicBlock] = {}
-        self._instruction_to_block: dict[int, int] = {}
-        #: Memoised attach-time tables (see CodeCache._install_all /
-        #: _anchor_all): (block count, cached set, payload) tuples,
-        #: rebuilt whenever the keyed state moves.
-        self._install_template: tuple | None = None
-        self._anchor_template: tuple | None = None
 
     def __contains__(self, start: int) -> bool:
         return start in self.blocks
@@ -139,54 +147,36 @@ class BlockMap:
         return self.blocks.get(start)
 
     def discover(self, start: int) -> BasicBlock:
-        """Return the block at *start*, decoding it on first request.
+        """Return the block at *start*, adding it on first request.
 
-        Decoded blocks are shared per binary: successive instances
-        replaying the same workload discover blocks in the same order
-        with the same truncations, so after the first instance the
-        per-launch decode cost collapses to a validation walk.  A cached
-        block is reused only when this map's current stop set would
-        reproduce it exactly; otherwise it is re-decoded (and the shared
-        slot converges on the workload-typical variant).
+        Raises :class:`~repro.errors.InvalidInstruction` when *start*
+        begins no block of the image.
         """
         block = self.blocks.get(start)
         if block is None:
-            block = self._decode_shared(start)
-            self.blocks[start] = block
-            for pc in block.addresses():
-                # First discovery wins; overlapping tails keep their
-                # original owner, which is adequate for lookup purposes.
-                self._instruction_to_block.setdefault(pc, start)
+            instructions = self.binary.block_at(start)
+            if instructions is None:
+                raise InvalidInstruction(
+                    "no block starts here: no instruction, or the block "
+                    "runs off the end of the code image", pc=start)
+            block = self.blocks[start] = BasicBlock(
+                start=start, instructions=instructions)
         return block
 
-    def _decode_shared(self, start: int) -> BasicBlock:
-        """The block at *start* under this map's stops, via the shared
-        per-binary cache.  Cached blocks are treated as immutable."""
-        shared = self.binary._block_cache
-        if shared is None:
-            shared = self.binary._block_cache = {}
-        cached = shared.get(start)
-        if cached is not None:
-            # Reusable iff a fresh decode under the current stops would
-            # reproduce it: no stop lands on an interior instruction,
-            # and a truncated block's cut point is still a stop.
-            stops = self.blocks
-            if not any(pc != start and pc in stops
-                       for pc, _ in cached.instructions) and \
-                    (not cached.truncated or cached.end in stops):
-                return cached
-        block = decode_block(self.binary, start,
-                             stop_before=frozenset(self.blocks))
-        shared[start] = block
-        return block
+    def blocks_containing(self, pc: int) -> list[BasicBlock]:
+        """Every block in the map whose extent holds instruction *pc*.
 
-    def block_of(self, pc: int) -> BasicBlock | None:
-        """The block whose instruction list contains *pc*, if known."""
-        start = self._instruction_to_block.get(pc)
-        if start is None:
-            return None
-        return self.blocks[start]
-
-    def known_instruction(self, pc: int) -> bool:
-        """True if *pc* is an instruction address in a discovered block."""
-        return pc in self._instruction_to_block
+        Their starts lie between the last block-ender before *pc* and
+        *pc* itself, since a block runs to the first ender after its
+        start.
+        """
+        found = []
+        start = pc
+        while True:
+            extent = self.binary.block_at(start)
+            if extent is None or extent[-1][0] < pc:
+                return found
+            block = self.blocks.get(start)
+            if block is not None:
+                found.append(block)
+            start -= INSTRUCTION_SIZE

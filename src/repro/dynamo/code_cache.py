@@ -1,11 +1,18 @@
 """The code cache: DynamoRIO-style managed block execution.
 
 All code conceptually executes out of the cache.  The first time control
-reaches an address that is not cached, the block is decoded ("built"),
+reaches a block head this launch has not reached, the block is "built":
 offered to every registered :class:`CachePlugin` for validation and
-transformation, and then cached.  Ejecting a block forces it to be rebuilt
-(and re-instrumented) the next time control reaches it — which is how
-patches take effect in a running application without a restart.
+transformation, and then cached.  Ejecting a block forces it to be
+rebuilt (and re-instrumented) the next time control reaches it — which
+is how patches take effect in a running application without a restart.
+
+A block is a function of the image and its start pc
+(:meth:`~repro.vm.binary.Binary.block_at`): it runs to the first
+block-ender, and an arrival inside a reached block's extent starts a new,
+overlapping block (DynamoRIO's rule).  So the cache decodes nothing and
+its only per-launch state is the set of blocks this launch has reached
+(:class:`~repro.dynamo.blocks.BlockMap`), in reach order.
 
 The cache also charges a *warm-up cost* per block build, modelling the
 dominant cost the paper reports in Table 3's replay columns (20-30 s of
@@ -16,11 +23,13 @@ benchmark harness.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.dynamo.blocks import BasicBlock, BlockMap
 from repro.vm.binary import Binary
 from repro.vm.cpu import CPU
 from repro.vm.hooks import ExecutionHook
-from repro.vm.isa import CONDITIONAL_JUMPS, INSTRUCTION_SIZE, Instruction
+from repro.vm.isa import INSTRUCTION_SIZE, Instruction
 
 #: Synthetic work units charged per block build (cache warm-up model).
 BLOCK_BUILD_COST = 25
@@ -40,7 +49,7 @@ class CachePlugin:
     def on_block_restore(self, cache: "CodeCache",
                          block: BasicBlock) -> None:
         """Called for each block adopted from a snapshot, in the
-        original discovery order.
+        original reach order.
 
         Restores replay this instead of :meth:`on_block_build` —
         restored blocks are not rebuilds (no warm-up cost) but plugins
@@ -50,16 +59,17 @@ class CachePlugin:
 
 
 class CodeCache(ExecutionHook):
-    """Tracks cached blocks and drives plugins; attaches to a CPU as a hook.
+    """Tracks reached blocks and drives plugins; attaches to a CPU as a
+    hook.
 
-    Cache maintenance is *event routed* rather than per-instruction: the
-    cache subscribes to ``on_transfer`` (every transfer target is a block
-    entry) and anchors a ``before_instruction`` probe at each known block
-    start (to catch ejected blocks reached by fall-through) and at each
-    conditional branch's fall-through frontier (to catch straight-line
-    execution entering undiscovered territory).  Inside a cached block,
-    execution proceeds with no cache involvement at all — the
-    DynamoRIO-style "executing out of the cache" fast case.
+    Cache maintenance is *event routed* rather than per-instruction:
+    every arrival at a block head is already an event — a control
+    transfer (``on_transfer``) or a not-taken conditional branch
+    (``on_fallthrough``) — except a launch's first instruction, which
+    the entry-point probe catches: the cache's only anchor, dropped once
+    the entry block is reached.  Inside a block, execution proceeds with
+    no cache involvement at all — the DynamoRIO-style "executing out of
+    the cache" fast case.
 
     Statistics:
 
@@ -72,14 +82,14 @@ class CodeCache(ExecutionHook):
 
     def __init__(self, binary: Binary):
         self.block_map = BlockMap(binary)
-        self._cached: set[int] = set()
+        self._reached = self.block_map.blocks
         self.plugins: list[CachePlugin] = []
         self.builds = 0
         self.ejections = 0
         self.warmup_cost = 0
         self.restored_blocks = 0
         self._bus = None
-        self._anchored: set[int] = set()
+        self._probe = False
 
     def add_plugin(self, plugin: CachePlugin) -> None:
         self.plugins.append(plugin)
@@ -88,236 +98,117 @@ class CodeCache(ExecutionHook):
 
     def bus_attached(self, bus) -> None:
         self._bus = bus
-        self._anchored = set()
-        self._anchor_all()
-        self._install_all()
+        self._sync_probe()
 
     def bus_detached(self, bus) -> None:
-        for pc in self._anchored:
-            bus.unanchor(self, pc, "before")
-        # Withdraw every block this cache ever registered — including
-        # ejected ones, whose registrations deliberately outlive the
-        # ejection (see eject()).
-        for block in self.block_map.blocks.values():
-            bus.remove_block(block.instructions)
-        self._anchored = set()
+        if self._probe:
+            bus.unanchor(self, self.block_map.binary.entry_point, "before")
+            self._probe = False
         self._bus = None
 
-    def _install_all(self) -> None:
-        """Register every cached block's instructions for superblock
-        compilation (the CPU compiles pre-bound runs from them).
-
-        The merged per-pc table is memoised on the block map (restored
-        instances re-attach the same state every launch), so repeat
-        launches pay one dict update instead of a per-block loop — a
-        measurable share of §4.4.5 warm-start latency.
-        """
-        if self._bus is None:
+    def _sync_probe(self) -> None:
+        """Anchor the entry-point probe while the entry block is
+        unreached, and drop it once reached."""
+        bus = self._bus
+        if bus is None:
             return
-        block_map = self.block_map
-        template = block_map._install_template
-        if template is None or template[0] != len(block_map.blocks) or \
-                template[1] != self._cached:
-            entries: dict = {}
-            for start in self._cached:
-                block = block_map.get(start)
-                if block is not None:
-                    items = block.instructions
-                    for index, (pc, _) in enumerate(items):
-                        entries[pc] = (items, index)
-            template = (len(block_map.blocks), set(self._cached),
-                        entries)
-            block_map._install_template = template
-        self._bus.adopt_blocks(template[2])
-
-    def _anchor_all(self) -> None:
-        """(Re-)anchor the entry point and every known block.
-
-        Like :meth:`_install_all`, the pc list is memoised on the block
-        map keyed by the (blocks, cached) state it was derived from.
-        """
-        block_map = self.block_map
-        template = block_map._anchor_template
-        if template is None or template[0] != len(block_map.blocks) or \
-                template[1] != self._cached:
-            pcs: list[int] = []
-            cached = self._cached
-            entry_point = block_map.binary.entry_point
-            if entry_point not in cached:
-                pcs.append(entry_point)
-            code_len = len(block_map.binary.code)
-            for block in block_map.blocks.values():
-                if block.start not in cached:
-                    pcs.append(block.start)
-                if block.truncated:
-                    continue
-                if block.terminator.opcode in CONDITIONAL_JUMPS:
-                    frontier = block.end
-                    if frontier < code_len and \
-                            block_map.block_of(frontier) is None:
-                        pcs.append(frontier)
-            template = (len(block_map.blocks), set(cached),
-                        tuple(dict.fromkeys(pcs)))
-            block_map._anchor_template = template
-        for pc in template[2]:
-            self._anchor_pc(pc)
-
-    def _anchor_pc(self, pc: int) -> None:
-        if self._bus is not None and pc not in self._anchored:
-            self._anchored.add(pc)
-            self._bus.anchor(self, pc, "before")
-
-    def _unanchor_pc(self, pc: int) -> None:
-        if self._bus is not None and pc in self._anchored:
-            self._anchored.discard(pc)
-            self._bus.unanchor(self, pc, "before")
-
-    def _anchor_block(self, block: BasicBlock) -> None:
-        """Anchor *block*'s start while it needs a probe and, if it can
-        fall through into undiscovered code, its fall-through frontier.
-
-        A *live* cached block's head carries no anchor at all — the
-        probe would be a no-op by construction, and an unanchored head
-        lets the kernel enter the block's superblock run with nothing
-        but dict misses on its path.  Ejection re-anchors the head
-        (see :meth:`eject`), restoring the rebuild probe.
-        """
-        if block.start not in self._cached:
-            self._anchor_pc(block.start)
-        if block.truncated:
-            return  # falls through into an existing block
-        if block.terminator.opcode in CONDITIONAL_JUMPS:
-            frontier = block.end
-            if frontier < len(self.block_map.binary.code) and \
-                    self.block_map.block_of(frontier) is None:
-                self._anchor_pc(frontier)
+        entry_point = self.block_map.binary.entry_point
+        wanted = entry_point not in self._reached
+        if wanted != self._probe:
+            self._probe = wanted
+            if wanted:
+                bus.anchor(self, entry_point, "before")
+            else:
+                bus.unanchor(self, entry_point, "before")
 
     # -- cache operations -------------------------------------------------
 
     def ensure_cached(self, start: int) -> BasicBlock:
-        """Return the cached block at *start*, building it if necessary.
-
-        Materialised blocks are registered on the bus
-        (:meth:`~repro.vm.hooks.HookBus.install_block`), which is what
-        lets the CPU compile them into pre-bound superblock runs.
-        """
-        block = self.block_map.discover(start)
-        if start not in self._cached:
-            self._cached.add(start)
+        """Return the cached block at *start*, building it if necessary."""
+        block = self._reached.get(start)
+        if block is None:
+            block = self.block_map.discover(start)
             self.builds += 1
             self.warmup_cost += BLOCK_BUILD_COST
             for plugin in self.plugins:
                 plugin.on_block_build(self, block)
-            if self._bus is not None:
-                self._bus.install_block(block.instructions)
-            # The head needs no probe while the block is live (a
-            # frontier anchor from a predecessor may point here too).
-            self._unanchor_pc(start)
-        self._anchor_block(block)
         return block
 
     def eject(self, start: int) -> bool:
-        """Remove the block starting at *start* from the cache.
-
-        The block's bus registration is deliberately left in place: the
-        registered instructions are immutable decodings of immutable
-        code, so any superblock run compiled from them stays valid.  The
-        re-materialisation obligations ride elsewhere — the anchored
-        probe at the block head rebuilds (and re-instruments) the block
-        on next entry, and the patch anchor that triggered the ejection
-        bumped ``anchor_version``, which recompiles the affected runs
-        split at the new anchor.
-        """
-        if start not in self._cached:
+        """Remove the block starting at *start* from the cache; the next
+        arrival at *start* rebuilds (and re-instruments) it."""
+        block = self._reached.pop(start, None)
+        if block is None:
             return False
-        self._cached.discard(start)
         self.ejections += 1
-        # Restore the rebuild probe the live block did not need.
-        self._anchor_pc(start)
-        block = self.block_map.get(start)
-        if block is not None:
-            for plugin in self.plugins:
-                plugin.on_block_eject(self, block)
+        for plugin in self.plugins:
+            plugin.on_block_eject(self, block)
         return True
 
     def eject_containing(self, pc: int) -> bool:
-        """Eject whichever cached block contains instruction *pc*."""
-        block = self.block_map.block_of(pc)
-        if block is None:
-            return False
-        return self.eject(block.start)
+        """Eject every cached block whose extent holds instruction *pc*."""
+        ejected = False
+        for block in self.block_map.blocks_containing(pc):
+            ejected = self.eject(block.start) or ejected
+        return ejected
 
     def is_cached(self, start: int) -> bool:
-        return start in self._cached
+        return start in self._reached
 
     @property
     def cached_block_count(self) -> int:
-        return len(self._cached)
+        return len(self._reached)
 
     # -- warm-up elimination (§4.4.5) ---------------------------------------
 
-    def snapshot(self) -> tuple[BlockMap, frozenset[int]]:
-        """Capture the cache state for reuse by a future instance.
+    def snapshot(self) -> tuple[BasicBlock, ...]:
+        """Capture the cache state for reuse by a future instance: the
+        reached blocks, in reach order.
 
         §4.4.5: "It is possible to eliminate the cache warm up time by
         saving the cache state from a previous run, then restoring this
         state upon startup."
         """
-        return (self.block_map, frozenset(self._cached))
+        return tuple(self._reached.values())
 
-    def restore(self, snapshot: tuple[BlockMap, frozenset[int]]) -> None:
-        """Adopt a previous instance's cache state. Restored blocks do
+    def restore(self, snapshot: Sequence[BasicBlock]) -> None:
+        """Adopt a previous instance's reached blocks. Restored blocks do
         not count as builds and incur no warm-up cost; plugins receive
-        :meth:`CachePlugin.on_block_restore` for each block in the
-        original discovery order, so order-sensitive consumers
-        (procedure discovery) end up in the same state a cold sequence
-        of builds would have produced."""
-        block_map, cached = snapshot
-        self.block_map = block_map
-        self._cached = set(cached)
-        self.restored_blocks = len(cached)
-        if self.plugins:
-            for block in block_map.blocks.values():
-                for plugin in self.plugins:
-                    plugin.on_block_restore(self, block)
-        if self._bus is not None:
-            self._anchor_all()
-            self._install_all()
+        :meth:`CachePlugin.on_block_restore` for each block in reach
+        order, so order-sensitive consumers (procedure discovery) end up
+        in the state the builds that reached them produced.  (A block
+        ejected and rebuilt is reached again, at its rebuild.)"""
+        self._reached = self.block_map.blocks = {
+            block.start: block for block in snapshot}
+        self.restored_blocks = len(self._reached)
+        for block in self._reached.values():
+            for plugin in self.plugins:
+                plugin.on_block_restore(self, block)
+        self._sync_probe()
 
     # -- hook dispatch ------------------------------------------------------
 
     def before_instruction(self, cpu: CPU, pc: int,
                            instruction: Instruction) -> int | None:
-        """Anchored probe: fires only at block starts and frontiers."""
-        if pc in self._cached:
-            # Hot case: entering a live cached block; nothing to do.
-            return None
-        block = self.block_map.block_of(pc)
-        if block is None:
-            # Control arrived at an address no discovered block covers:
-            # it is a new block head.
-            self.ensure_cached(pc)
-        elif pc == block.start and block.start not in self._cached:
-            # Known head whose block was ejected: rebuild (and re-run
-            # plugins, so fresh instrumentation/patches take effect).
-            self.ensure_cached(pc)
+        """The entry-point probe: no event announces a launch's first
+        instruction."""
+        self.ensure_cached(pc)
+        self._sync_probe()
         return None
 
     def on_transfer(self, cpu: CPU, pc: int, kind: str,
                     target: int) -> None:
-        """Every control transfer enters a block; cache it on arrival.
+        """Every control transfer arrives at a block head; cache it.
 
         Guarded by the same validity condition Memory Firewall enforces:
         a target outside the code segment (or misaligned) is about to
-        fault, so it must not be decoded into the block map.
+        fault, so it must not be built.
         """
-        if target in self._cached:
-            # Hot case: transfer into a live cached block.
-            return
-        block = self.block_map.block_of(target)
-        if block is None:
-            if cpu.memory.in_code(target) and \
-                    target % INSTRUCTION_SIZE == 0:
-                self.ensure_cached(target)
-        elif target == block.start and target not in self._cached:
+        if target not in self._reached and cpu.memory.in_code(target) \
+                and target % INSTRUCTION_SIZE == 0:
+            self.ensure_cached(target)
+
+    def on_fallthrough(self, cpu: CPU, pc: int, target: int) -> None:
+        """A not-taken branch arrives at its fall-through block."""
+        if target not in self._reached and cpu.memory.in_code(target):
             self.ensure_cached(target)

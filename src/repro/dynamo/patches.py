@@ -13,8 +13,8 @@ It is a *pc-anchored* execution hook: instead of being consulted before
 and after every instruction, it registers each patched address on the
 :class:`~repro.vm.hooks.HookBus`, so patch dispatch is O(1) at anchor pcs
 and completely free everywhere else.  Applying or removing a patch ejects
-the owning block from the code cache, mirroring how Determina
-re-materialises patched blocks.
+every cached block holding the patched instruction, mirroring how
+Determina re-materialises patched blocks.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ state from a previous run, then restoring this state upon startup."
 :meth:`~repro.dynamo.code_cache.CodeCache.snapshot` already carries that
 state *within* a process (the ``reuse_cache`` knob); this module gives it
 a durable form, so a freshly forked community worker — or tomorrow's
-deployment — starts with the block map, the cached set, and the trace
-tier's heat already in place instead of re-decoding the binary.
+deployment — starts with its blocks reached and the trace tier's heat in
+place instead of rebuilding both.
 
 The format is canonical JSON (the same discipline as
 :mod:`repro.community.wire`, plus sorted keys so equal states produce
@@ -21,11 +21,12 @@ byte-equal files), versioned three ways:
   describes; a snapshot is meaningless against any other image.
 
 Any mismatch raises :class:`~repro.errors.SnapshotError` — stale
-snapshots are rejected, never misloaded.  Blocks are stored as
-``[start, instruction count, truncated]`` and re-decoded from the
-binary on load (the image is the authority; the snapshot only says
-*which* blocks exist and in what discovery order), so a snapshot stays
-small and can never smuggle foreign code into the cache.
+snapshots are rejected, never misloaded.  A snapshot stores only what
+is per-launch: the reached block starts, in reach order, plus the trace
+heat.  Extents are a function of the image and the start pc
+(:meth:`~repro.vm.binary.Binary.block_at`), so the image stays the
+authority: a snapshot stays small and can never smuggle foreign code
+into the cache.
 """
 
 from __future__ import annotations
@@ -38,21 +39,21 @@ import tempfile
 from repro.dynamo.blocks import BasicBlock, BlockMap
 from repro.errors import InvalidInstruction, SnapshotError
 from repro.vm.binary import Binary
-from repro.vm.isa import INSTRUCTION_SIZE
 
 #: File-layout version; bump on incompatible format changes.
 #: v2 added the required ``edge_profile`` field (observed-run trace
 #: heat: the per-entry successor histograms hottest-successor trace
 #: selection reads), so warm-started learning members skip
-#: re-formation.
-SCHEMA_VERSION = 2
+#: re-formation.  v3 replaced the ``blocks`` extents and the ``cached``
+#: set with ``reached``, the reached block starts in reach order.
+SCHEMA_VERSION = 3
 
 #: Execution-kernel generation; bump when block or trace semantics
-#: change in ways that invalidate captured state.  ``-2``: trace paths
-#: are selected hottest-successor (with monomorphic-stability gating
-#: across indirect transfers), so paths recorded by a ``-1`` kernel may
-#: pin a cold successor chain.
-ENGINE_VERSION = "superblock-trace-2"
+#: change in ways that invalidate captured state.  ``-3``: a block runs
+#: from its start to the first block-ender whatever else was reached, so
+#: blocks, runs and the trace paths recorded over them differ from a
+#: ``-2`` kernel's, whose blocks stopped at starts already known.
+ENGINE_VERSION = "superblock-trace-3"
 
 
 def snapshot_to_dict(cache, binary: Binary | None = None,
@@ -69,10 +70,6 @@ def snapshot_to_dict(cache, binary: Binary | None = None,
     """
     if binary is None:
         binary = cache.block_map.binary
-    block_map = cache.block_map
-    blocks = [[block.start, len(block.instructions),
-               bool(block.truncated)]
-              for block in block_map.blocks.values()]
     profile = binary._trace_profile or {}
     paths = binary._trace_paths or {}
     edges = binary._edge_profile or {}
@@ -90,8 +87,7 @@ def snapshot_to_dict(cache, binary: Binary | None = None,
         "schema": SCHEMA_VERSION,
         "engine": ENGINE_VERSION,
         "binary": binary.content_digest(),
-        "blocks": blocks,
-        "cached": sorted(cache._cached),
+        "reached": list(cache.block_map.blocks),
         "trace_profile": {str(pc): count
                           for pc, count in sorted(profile.items())},
         "trace_paths": {str(pc): (list(path) if path else False)
@@ -104,10 +100,10 @@ def snapshot_to_dict(cache, binary: Binary | None = None,
 
 
 def snapshot_from_dict(payload: dict, binary: Binary
-                       ) -> tuple[BlockMap, frozenset[int]]:
+                       ) -> tuple[BasicBlock, ...]:
     """Validate *payload* against *binary* and rebuild the cache state.
 
-    Returns the ``(block map, cached set)`` pair
+    Returns the reached blocks, in reach order — the form
     :meth:`CodeCache.restore` accepts.  Also seeds the binary's shared
     trace profile and paths (without overwriting heat the process has
     already accumulated), so the trace tier warm-starts too.
@@ -116,8 +112,7 @@ def snapshot_from_dict(payload: dict, binary: Binary
         schema = payload["schema"]
         engine = payload["engine"]
         digest = payload["binary"]
-        blocks = payload["blocks"]
-        cached = payload["cached"]
+        reached = payload["reached"]
         profile = payload["trace_profile"]
         paths = payload["trace_paths"]
         edges = payload["edge_profile"]
@@ -144,17 +139,20 @@ def snapshot_from_dict(payload: dict, binary: Binary
 
     block_map = BlockMap(binary)
     try:
-        for start, count, truncated in blocks:
-            instructions = [
-                (pc, binary.decode_at(pc))
-                for pc in range(start, start + count * INSTRUCTION_SIZE,
-                                INSTRUCTION_SIZE)]
-            block = BasicBlock(start=start, instructions=instructions,
-                               truncated=bool(truncated))
-            block_map.blocks[start] = block
-            for pc, _ in instructions:
-                block_map._instruction_to_block.setdefault(pc, start)
-        cached_set = frozenset(int(start) for start in cached)
+        for start in reached:
+            block_map.discover(int(start))
+    except (TypeError, ValueError) as error:
+        raise SnapshotError(f"malformed snapshot content: {error}") \
+            from error
+    except InvalidInstruction as error:
+        # A digest-valid file may still name a start the image has no
+        # block at (outside it, misaligned, or running off its end): a
+        # snapshot problem, never a crash.
+        raise SnapshotError(
+            f"snapshot reaches unknown blocks: {error}") from error
+    if len(block_map) != len(reached):
+        raise SnapshotError("snapshot reaches a block twice")
+    try:
         if binary._trace_profile is None:
             binary._trace_profile = {}
         if binary._trace_paths is None:
@@ -170,18 +168,10 @@ def snapshot_from_dict(payload: dict, binary: Binary
             binary._edge_profile.setdefault(
                 int(pc), {int(successor): int(count)
                           for successor, count in successors.items()})
-    except (TypeError, ValueError, KeyError,
-            InvalidInstruction) as error:
-        # InvalidInstruction covers a digest-valid file whose block
-        # entries point outside (or misalign within) the image — still
-        # a snapshot problem, never a crash.
+    except (TypeError, ValueError, KeyError, AttributeError) as error:
         raise SnapshotError(f"malformed snapshot content: {error}") \
             from error
-    unknown = cached_set - set(block_map.blocks)
-    if unknown:
-        raise SnapshotError(
-            f"snapshot marks unknown blocks as cached: {sorted(unknown)[:4]}")
-    return block_map, cached_set
+    return tuple(block_map.blocks.values())
 
 
 def encode_snapshot(cache, binary: Binary | None = None,
@@ -251,7 +241,6 @@ def read_snapshot(path) -> dict:
     return payload
 
 
-def load_snapshot(path, binary: Binary
-                  ) -> tuple[BlockMap, frozenset[int]]:
+def load_snapshot(path, binary: Binary) -> tuple[BasicBlock, ...]:
     """Read, validate, and rebuild the snapshot at *path*."""
     return snapshot_from_dict(read_snapshot(path), binary)

@@ -46,10 +46,9 @@ class Binary:
     #: process, not once per launch.
     _run_cache: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
-    #: Opaque slot for decoded basic blocks, shared by every BlockMap on
-    #: this image (populated and validated by
-    #: :meth:`repro.dynamo.blocks.BlockMap.discover`).
-    _block_cache: "dict | None" = field(
+    #: Memoised block index (see :meth:`block_at`): start pc -> the
+    #: block's ``(pc, instruction)`` pairs.
+    _block_index: "dict[int, tuple] | None" = field(
         default=None, init=False, repr=False, compare=False)
     #: Opaque slot for the shared run/trace tables, keyed by the
     #: compilation plan: {(elide, lazy subscribers): (filter epoch,
@@ -131,6 +130,33 @@ class Binary:
                                    for address in
                                    self.instruction_addresses()}
         return self._decoded_cache
+
+    def block_at(self, pc: int) -> "tuple | None":
+        """The basic block starting at *pc*: its ``(pc, instruction)``
+        pairs, from *pc* through the first block-ender (jump, branch,
+        call, return, halt).
+
+        A block is a function of the image and its start pc alone — a
+        start inside another block's extent begins an overlapping block,
+        as in DynamoRIO — so the index is computed once from
+        :meth:`decode_all` and shared by every CPU and code cache on
+        this image.  None for an address with no instruction, or whose
+        straight line runs off the end of the image.
+        """
+        index = self._block_index
+        if index is None:
+            index = self._block_index = {}
+            block: tuple = ()
+            for address, instruction in reversed(
+                    self.decode_all().items()):
+                if instruction.is_block_ender():
+                    block = ((address, instruction),)
+                elif block:
+                    block = ((address, instruction),) + block
+                else:
+                    continue
+                index[address] = block
+        return index.get(pc)
 
     def content_digest(self) -> str:
         """SHA-256 over the image content (code, data, entry point).

@@ -20,29 +20,32 @@ live), so a fully monitored run and a bare run execute bit-identically
 — the monitors still see every store and transfer — while the bare run
 pays none of the hook plumbing.
 
-On top of the threaded-code table sits the *superblock engine*: once the
-code cache registers a materialised basic block on the bus, the CPU
-compiles it into a flat pre-bound run of ``(handler, pc, instruction)``
-triples — with maximal straight-line ALU/MOV stretches fused into
-superinstruction closures over pre-bound operands — and executes the
-whole run without re-entering the fetch/dispatch loop.  Runs split at
-patch anchors (the per-instruction loop survives exactly there) and at
-event-bearing instructions (stores, heap service), whose subscribers may
-legally change the dispatch configuration mid-block; any anchor or block
-change bumps ``HookBus.anchor_version`` and invalidates every compiled
-run, mirroring how Determina re-materialises patched fragments.
+On top of the threaded-code table sits the *superblock engine*: the CPU
+compiles the stretch from a pc to its block's end — a function of the
+image and the pc alone (:meth:`~repro.vm.binary.Binary.block_at`) —
+into a flat pre-bound run of ``(handler, pc, instruction)`` triples,
+with maximal straight-line ALU/MOV stretches fused into superinstruction
+closures over pre-bound operands, and executes the whole run without
+re-entering the fetch/dispatch loop.  Runs split at patch anchors (the
+per-instruction loop survives exactly there) and at event-bearing
+instructions (stores, heap service), whose subscribers may legally
+change the dispatch configuration mid-block; an anchor change bumps
+``HookBus.anchor_version``, and the CPU re-derives which compiled runs
+it splits, mirroring how Determina re-materialises patched fragments.
 
 Above the block runs sits the *trace tier* (DynamoRIO traces): completed
 block runs feed an edge profile shared per binary, and once a head
 crosses :data:`TRACE_THRESHOLD` the next executed chain of runs is
 recorded as a trace path — ending, as in DynamoRIO, where the chain
 reaches an existing trace head — or the head is refused when no trace
-can chain its hottest edge.  A trace executes its member runs back to back
-with a one-compare guard at each boundary — the transfer handler already
-computed the real target, so chaining costs a comparison, not a
-dispatch — and a trace (or a self-looping run) whose final target is its
-own head re-enters itself without returning to the outer loop at all, so
-hot loops retire entirely inside one compiled structure.  Divergence
+can chain its hottest edge (runs are the same in every launch, so a
+refusal is as final as a path).  A trace executes its member runs back
+to back with a one-compare guard at each boundary — the transfer
+handler already computed the real target, so chaining costs a
+comparison, not a dispatch — and a trace (or a self-looping run) whose
+final target is its own head re-enters itself without returning to the
+outer loop at all, so hot loops retire entirely inside one compiled
+structure.  Divergence
 (the guard fails) falls back to the outer loop at the exact boundary
 instruction.  Trace validity rides the same ``anchor_version`` as block
 runs; the recorded *paths* are anchor-independent observations and are
@@ -209,6 +212,7 @@ class CPU:
         self._after = bus.after
         self._stores = bus.store
         self._transfers = bus.transfer
+        self._fallthroughs = bus.fallthrough
         self._returns = bus.ret
         self._allocs = bus.alloc
         self._frees = bus.free
@@ -243,10 +247,10 @@ class CPU:
         self._compiled: dict[int, tuple] = {}
         self._traces: dict[int, tuple] = {}
         self._compiled_version = bus.anchor_version
-        #: Per-CPU negative caches (pc known uncompilable / untraceable
-        #: in the current anchor generation); unlike the positive
-        #: tables these depend on this CPU's block registrations, so
-        #: they are never shared and are dropped every generation.
+        #: Per-CPU negative caches: pcs with no run (no block, or a
+        #: one-instruction one — a function of the image, kept for the
+        #: CPU's life) and pcs with no trace to adopt (dropped every
+        #: anchor generation, so paths published meanwhile are found).
         self._negative: set[int] = set()
         self._no_trace: set[int] = set()
         #: Per-CPU poison sets: run entries / trace heads from the
@@ -491,10 +495,10 @@ class CPU:
         need per-instruction CPU state beyond their event arguments
         should subscribe to a granular event instead.
 
-        Where the code cache has registered a block, the loop executes
-        the compiled superblock run instead of stepping: every
-        instruction from the current pc to the block end (or the first
-        anchored pc) retires through pre-bound handlers, with the step
+        Where the current pc starts a run (its block holds two or more
+        instructions), the loop executes the compiled superblock run
+        instead of stepping: every instruction from the current pc to
+        the block end retires through pre-bound handlers, with the step
         budget checked once for the whole run and segment boundaries
         re-validating the bus versions.  A run is entered only while no
         anchor splits it and the budget covers it entirely; otherwise
@@ -587,11 +591,9 @@ class CPU:
                     continue
                 anchor_version = bus.anchor_version
                 if anchor_version != self._compiled_version:
-                    # An anchor or block changed (patch install/remove,
-                    # block discovery/ejection): re-derive which shared
-                    # entries the new anchor set poisons, and retry the
-                    # negative verdicts new registrations may have
-                    # overtaken.
+                    # An anchor changed (patch install/remove, the code
+                    # cache's entry probe): re-derive which shared
+                    # entries the new anchor set poisons.
                     self._refresh_generation()
                     self._compiled_version = anchor_version
                 run = traces_get(pc)
@@ -685,22 +687,6 @@ class CPU:
     # Superblock compilation (per-CPU; see the module-level helpers)
     # ------------------------------------------------------------------
 
-    def _take_run(self, entry_pc: int) -> list | None:
-        """The ``(pc, instruction)`` stretch a run from *entry_pc* may
-        cover: from the registered block position to the block end.
-        Anchors are deliberately ignored — compiled runs are shared
-        anchor-blind shapes; each CPU's anchors exclude affected
-        entries through the poison sets instead.  None when no block is
-        registered or the stretch is trivially short."""
-        located = self.bus.blocks.get(entry_pc)
-        if located is None:
-            return None
-        items, index = located
-        take = items[index:] if index else list(items)
-        if len(take) < 2:
-            return None
-        return take
-
     def _span_anchored(self, entry_pc: int, end: int) -> bool:
         """Does one of this CPU's anchors land inside ``[entry, end)``
         (run-entry before-anchors exempt — the outer loop dispatches
@@ -720,20 +706,20 @@ class CPU:
         Each segment is ``(ops, count, guard)`` with ``guard`` always
         None for a plain block run (trace segments carry their expected
         entry pc there).  A run is a pure function of three inputs: the
-        instruction stretch from *entry_pc* to its block end, the
-        barrier-elision premise, and the stretch's observed pcs (those
-        the lazy subscribers' filter admits — none on a bare CPU).  It
-        binds only instruction constants (never CPU state) and ignores
-        anchors, so it is shared per binary via ``Binary._run_cache``,
+        block starting at *entry_pc*, the barrier-elision premise, and
+        the block's observed pcs (those the lazy subscribers' filter
+        admits — none on a bare CPU).  It binds only instruction
+        constants (never CPU state) and ignores anchors, so it is
+        shared per binary via ``Binary._run_cache``,
         keyed by ``(entry pc, length, elision, observed pcs)``: a bare
         CPU and one whose subscribers observe nothing there execute the
         very same run.  Compilation registers the run's span in the
         poison index and, when one of this CPU's *current* anchors
         already lands inside it, poisons it locally right away.
         """
-        take = self._take_run(entry_pc)
-        if take is None:
-            return None
+        take = self.binary.block_at(entry_pc)
+        if take is None or len(take) < 2:
+            return None  # a lone instruction runs per instruction
         extractors = {}
         if self._lazy:
             for ins_pc, instruction in take:
@@ -809,10 +795,9 @@ class CPU:
         """Recompute the per-CPU view of the shared tables after an
         anchor generation change.
 
-        Negative verdicts depend on this CPU's block registrations, so
-        they are simply dropped and re-derived (the bump
-        :meth:`HookBus.install_block` issues when registrations grow
-        funnels through here too).  Anchors are honoured by *poisoning*:
+        Trace negatives are dropped, so paths published since are
+        adopted; run negatives are properties of the image and stay.
+        Anchors are honoured by *poisoning*:
         the per-binary span indexes name every run/trace whose compiled
         span covers an anchored pc, and poisoned entries fall back to
         per-instruction dispatch — which is exactly where anchored
@@ -820,7 +805,6 @@ class CPU:
         poison (the outer loop dispatches it before entering the run);
         every other anchored pc inside a span does.
         """
-        self._negative.clear()
         self._no_trace.clear()
         poison_runs = self._poison_runs
         poison_traces = self._poison_traces
@@ -856,21 +840,6 @@ class CPU:
                 self._compiled[pc] = run
         return run
 
-    def _trace_member(self, pc: int) -> bool:
-        """Can a trace chain through the run at *pc*?  Needs a compiled
-        run covering everything from *pc* to its block's end (so the
-        run ends in the transfer whose target the next guard compares
-        against).  Anchors are not consulted — trace shapes are
-        anchor-blind like runs; poisoning excludes them per CPU."""
-        run = self._run_for(pc)
-        if run is None:
-            return False
-        located = self.bus.blocks.get(pc)
-        if located is None:
-            return False
-        items, index = located
-        return run[1] == len(items) - index
-
     def _profile_edge(self, entry_pc: int, next_pc: int) -> None:
         """Account one completed block run; drive trace recording.
 
@@ -888,14 +857,14 @@ class CPU:
         chain would ever follow.  Paths are anchor- and plan-independent
         — every plan instantiates them through :meth:`_build_trace`,
         which re-validates the members — so a recording survives
-        anchor-generation changes (block builds, patches).
+        anchor-generation changes (patches).
 
         A hot head is *refused* (``False``, which also stops profiling
-        it) only for properties of the code, the same in every instance
-        and plan: its hottest edge is a self-loop, crosses an indirect
-        transfer with no stable target, or leaves a run that halts.
-        When this instance's blocks or this plan's table cannot chain
-        the edge (:meth:`_may_join`), the head is re-armed instead.
+        it) when its hottest edge is a self-loop, crosses an indirect
+        transfer with no stable target, leaves a run that halts, or
+        enters a pc that starts no run.  Runs come from the image's
+        block index, so each of these is a property of the code, the
+        same in every instance and plan.
         """
         edges = self._edge_profile.get(entry_pc)
         if edges is None:
@@ -909,7 +878,8 @@ class CPU:
                 if next_pc != head and next_pc not in chain and \
                         len(chain) < TRACE_MAX_BLOCKS and \
                         self._trace_successor(entry_pc, edges) == next_pc \
-                        and not self.halted and self._may_join(next_pc):
+                        and not self.halted and \
+                        self._run_for(next_pc) is not None:
                     chain.append(next_pc)
                     if not paths.get(next_pc):
                         return
@@ -936,33 +906,18 @@ class CPU:
         successor = self._trace_successor(entry_pc, edges)
         if successor is not None and successor != next_pc:
             return  # decide on a retirement along the hottest edge
-        if successor is None or next_pc == entry_pc or self.halted:
+        if successor is None or next_pc == entry_pc or self.halted or \
+                self._run_for(next_pc) is None:
             # An unstable indirect target, a self-looping run (the
-            # executor's loop-back already cycles it in place) or a
-            # halting one: no trace can chain this edge.
+            # executor's loop-back already cycles it in place), a
+            # halting one or a successor with no run: no trace can
+            # chain this edge.
             paths[entry_pc] = False
-        elif not (self._trace_member(entry_pc) and
-                  self._may_join(next_pc)):
-            # This instance or plan cannot chain the edge yet; another
-            # may, so the head heats up again rather than being refused.
-            profile[entry_pc] = 0
         elif paths.get(next_pc):
             paths[entry_pc] = (entry_pc, next_pc)
             self._no_trace.discard(entry_pc)
         else:
             self._trace_recording = (entry_pc, [entry_pc, next_pc])
-
-    def _may_join(self, pc: int) -> bool:
-        """May the run at *pc* follow a chain in this instance, under
-        this plan?  It needs a member run — or, where this instance has
-        not built *pc*'s block yet (a fall-through the code cache builds
-        on arrival), a run for it already compiled under this plan: the
-        chain breaks unless that run is the next to retire whole.  The
-        answer depends on this instance's blocks and this plan's table,
-        so a no re-arms a head rather than refusing it."""
-        if pc in self.bus.blocks:
-            return self._trace_member(pc)
-        return pc in self._compiled
 
     def _trace_successor(self, from_pc: int, edges: dict) -> int | None:
         """The successor a trace may follow from the run at *from_pc*,
@@ -976,13 +931,10 @@ class CPU:
         pass); None when it is not.
         """
         best = max(edges, key=edges.get)
-        located = self.bus.blocks.get(from_pc)
-        if located is not None:
-            terminator = located[0][-1][1].opcode
-            if (terminator == Opcode.CALLR or terminator == Opcode.JMPR) \
-                    and edges[best] < \
-                    _INDIRECT_STABILITY * sum(edges.values()):
-                return None
+        terminator = self.binary.block_at(from_pc)[-1][1].opcode
+        if (terminator == Opcode.CALLR or terminator == Opcode.JMPR) \
+                and edges[best] < _INDIRECT_STABILITY * sum(edges.values()):
+            return None
         return best
 
     def _adopt_trace(self, pc: int) -> tuple | None:
@@ -1012,9 +964,10 @@ class CPU:
         """
         members = []
         for entry in path:
-            if not self._trace_member(entry):
+            run = self._run_for(entry)
+            if run is None:
                 return None
-            members.append(self._compiled[entry])
+            members.append(run)
         bounds = [(entry, entry + run[1] * INSTRUCTION_SIZE)
                   for entry, run in zip(path, members)]
         head = path[0]
@@ -1148,45 +1101,58 @@ class CPU:
     # Conditional jumps are block terminators — unfusable by nature —
     # so each gets a dedicated handler with its comparison inlined.
 
+    def _fall_through(self, pc: int) -> int:
+        """Announce a not-taken conditional branch at *pc* (an arrival
+        at the fall-through block); return the fall-through pc."""
+        target = pc + INSTRUCTION_SIZE
+        subscribers = self._fallthroughs
+        if subscribers:
+            if len(subscribers) == 1:
+                subscribers[0].on_fallthrough(self, pc, target)
+            else:
+                for hook in tuple(subscribers):
+                    hook.on_fallthrough(self, pc, target)
+        return target
+
     def _op_je(self, pc: int, ins: Instruction) -> int:
         if self._flag_left == self._flag_right:
             return self._transfer(pc, TransferKind.BRANCH, ins.a)
-        return pc + INSTRUCTION_SIZE
+        return self._fall_through(pc)
 
     def _op_jne(self, pc: int, ins: Instruction) -> int:
         if self._flag_left != self._flag_right:
             return self._transfer(pc, TransferKind.BRANCH, ins.a)
-        return pc + INSTRUCTION_SIZE
+        return self._fall_through(pc)
 
     def _op_jb(self, pc: int, ins: Instruction) -> int:
         if self._flag_left < self._flag_right:
             return self._transfer(pc, TransferKind.BRANCH, ins.a)
-        return pc + INSTRUCTION_SIZE
+        return self._fall_through(pc)
 
     def _op_jae(self, pc: int, ins: Instruction) -> int:
         if self._flag_left >= self._flag_right:
             return self._transfer(pc, TransferKind.BRANCH, ins.a)
-        return pc + INSTRUCTION_SIZE
+        return self._fall_through(pc)
 
     def _op_jl(self, pc: int, ins: Instruction) -> int:
         if to_signed(self._flag_left) < to_signed(self._flag_right):
             return self._transfer(pc, TransferKind.BRANCH, ins.a)
-        return pc + INSTRUCTION_SIZE
+        return self._fall_through(pc)
 
     def _op_jle(self, pc: int, ins: Instruction) -> int:
         if to_signed(self._flag_left) <= to_signed(self._flag_right):
             return self._transfer(pc, TransferKind.BRANCH, ins.a)
-        return pc + INSTRUCTION_SIZE
+        return self._fall_through(pc)
 
     def _op_jg(self, pc: int, ins: Instruction) -> int:
         if to_signed(self._flag_left) > to_signed(self._flag_right):
             return self._transfer(pc, TransferKind.BRANCH, ins.a)
-        return pc + INSTRUCTION_SIZE
+        return self._fall_through(pc)
 
     def _op_jge(self, pc: int, ins: Instruction) -> int:
         if to_signed(self._flag_left) >= to_signed(self._flag_right):
             return self._transfer(pc, TransferKind.BRANCH, ins.a)
-        return pc + INSTRUCTION_SIZE
+        return self._fall_through(pc)
 
     def _op_call(self, pc: int, ins: Instruction) -> int:
         self._push(pc + INSTRUCTION_SIZE, pc)

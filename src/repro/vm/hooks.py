@@ -22,11 +22,12 @@ Hooks fire in registration order within each event.  A hook may:
 
 Two hook families (the patch manager and the code cache) only care about
 ``before_instruction``/``after_instruction`` at a handful of *anchor*
-addresses.  Such hooks set :attr:`ExecutionHook.pc_anchored` and register
-those addresses on the bus explicitly (:meth:`HookBus.anchor`); the CPU
-routes per-instruction events to them with one dict probe instead of an
-unconditional call, which is what makes the no-subscriber fast path
-possible at all.
+addresses — patched pcs, and the entry point, whose first instruction
+no transfer announces.  Such hooks set :attr:`ExecutionHook.pc_anchored`
+and register those addresses on the bus explicitly
+(:meth:`HookBus.anchor`); the CPU routes per-instruction events to them
+with one dict probe instead of an unconditional call, which is what
+makes the no-subscriber fast path possible at all.
 """
 
 from __future__ import annotations
@@ -170,6 +171,11 @@ class ExecutionHook:
                     target: int) -> None:
         """Called before control moves to *target* (monitors veto here)."""
 
+    def on_fallthrough(self, cpu: "CPU", pc: int, target: int) -> None:
+        """Called when the conditional branch at *pc* is not taken and
+        control falls through to *target*.  With :meth:`on_transfer`
+        this makes every arrival at a block head an event."""
+
     def on_return(self, cpu: "CPU", pc: int, target: int) -> None:
         """Called when a RET pops *target* (after on_transfer)."""
 
@@ -189,6 +195,7 @@ _EVENT_ROUTES = (
     ("after_instruction", "after"),
     ("on_store", "store"),
     ("on_transfer", "transfer"),
+    ("on_fallthrough", "fallthrough"),
     ("on_return", "ret"),
     ("on_alloc", "alloc"),
     ("on_free", "free"),
@@ -208,19 +215,18 @@ class HookBus:
     ``before_pc``/``after_pc`` route the per-instruction events for
     anchored hooks: pc -> subscriber list.  Anchor changes do not bump
     ``version`` (both run loops consult the stable dicts live) but they
-    do bump ``anchor_version``, which invalidates the CPU's compiled
-    superblock runs — a run is only valid while no anchor splits it.
+    do bump ``anchor_version``, which makes the CPU re-derive which of
+    its compiled superblock runs an anchor splits.
 
-    ``blocks`` is the superblock substrate: the code cache registers each
-    materialised basic block's ``(pc, instruction)`` list here
-    (:meth:`install_block`), keyed by every instruction address it
-    covers, and the CPU compiles cached blocks into pre-bound runs from
-    it.  Registrations outlive cache ejection on purpose — the entries
-    are immutable decodings of immutable code, so a run compiled from
-    them is always valid machine code; rebuild-and-re-instrument
-    obligations ride the block head's anchor, and the anchor change that
-    accompanies a patch is what splits the recompiled run.  Blocks are
-    withdrawn (:meth:`remove_block`) only when the owning cache detaches.
+    The bus holds no blocks: the CPU compiles runs from the binary's own
+    block index (:meth:`~repro.vm.binary.Binary.block_at`), a function
+    of the immutable image shared by every CPU on it.  The code cache
+    follows execution through events alone — every arrival at a block
+    head is a transfer (``on_transfer``) or a not-taken conditional
+    branch (``on_fallthrough``), apart from a launch's first
+    instruction — so a launch that patches nothing moves
+    ``anchor_version`` a constant number of times, however many blocks
+    it reaches.
     """
 
     def __init__(self):
@@ -235,14 +241,9 @@ class HookBus:
         self.ret: list[ExecutionHook] = []
         self.alloc: list[ExecutionHook] = []
         self.free: list[ExecutionHook] = []
+        self.fallthrough: list[ExecutionHook] = []
         self.before_pc: dict[int, list[ExecutionHook]] = {}
         self.after_pc: dict[int, list[ExecutionHook]] = {}
-        #: instruction pc -> (block items, index of pc within them), where
-        #: items is the owning cached block's [(pc, Instruction), ...].
-        self.blocks: dict[int, tuple[list, int]] = {}
-        #: True while ``blocks`` aliases a table adopted from a shared
-        #: template (warm-started caches): the first mutation copies it.
-        self._blocks_shared = False
 
     # -- registration ---------------------------------------------------
 
@@ -311,70 +312,6 @@ class HookBus:
             if not subscribers:
                 del table[pc]
             self.anchor_version += 1
-
-    # -- superblock substrate -------------------------------------------
-
-    def install_block(self, items: list) -> None:
-        """Register a materialised block's ``[(pc, instruction), ...]``.
-
-        Every instruction address maps to (items, index), so the CPU can
-        compile a pre-bound run starting anywhere in the block — which is
-        how a block split by a patch anchor resumes as a tail run after
-        the anchored instruction.  Overlapping blocks (a later-discovered
-        head inside an earlier block's tail) simply overwrite: both views
-        decode the same immutable image, so either is valid.
-
-        Installation cannot invalidate a compiled run — runs are pure
-        functions of the immutable image and the anchor tables — but it
-        *can* overtake a negative compile verdict (a pc that had no
-        registered block now has one), so it bumps ``anchor_version``:
-        the CPU drops its per-generation negative caches and retries,
-        while the positive tables survive under their unchanged
-        dispatch-state fingerprint.
-        """
-        blocks = self.blocks
-        if self._blocks_shared:
-            blocks = self.blocks = dict(blocks)
-            self._blocks_shared = False
-        for index, (pc, _) in enumerate(items):
-            blocks[pc] = (items, index)
-        self.anchor_version += 1
-
-    def adopt_blocks(self, table: dict) -> None:
-        """Adopt a prebuilt registration table (a restored cache's
-        merged block index), copy-on-write.
-
-        A warm-started instance that discovers nothing new shares the
-        template for its whole life — the common §4.4.5 case — and the
-        first genuine (un)registration copies it.  Bumps
-        ``anchor_version`` like the installs it replaces.
-        """
-        if self.blocks:
-            blocks = self.blocks
-            if self._blocks_shared:
-                blocks = self.blocks = dict(blocks)
-                self._blocks_shared = False
-            blocks.update(table)
-        else:
-            self.blocks = table
-            self._blocks_shared = True
-        self.anchor_version += 1
-
-    def remove_block(self, items: list) -> None:
-        """Withdraw a block registered via :meth:`install_block`.
-
-        Only entries still owned by *items* are dropped, so ejecting a
-        block whose tail was overwritten by an overlapping block leaves
-        the overwriter's entries intact.
-        """
-        blocks = self.blocks
-        if self._blocks_shared:
-            blocks = self.blocks = dict(blocks)
-            self._blocks_shared = False
-        for pc, _ in items:
-            entry = blocks.get(pc)
-            if entry is not None and entry[0] is items:
-                del blocks[pc]
 
     def ordered(self, subscribers: list[ExecutionHook]
                 ) -> list[ExecutionHook]:

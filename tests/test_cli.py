@@ -66,7 +66,7 @@ class TestSnapshotCommand:
 
         assert main(["snapshot", "info", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "schema:      2" in out
+        assert "schema:      3" in out
         assert "compatible:  yes" in out
 
     def test_info_rejects_stale_engine(self, capsys, tmp_path):

@@ -82,12 +82,20 @@ class TestBlockMap:
         assert block_map.discover(0) is first
         assert len(block_map) == 1
 
-    def test_block_of_interior_instruction(self):
+    def test_blocks_containing_interior_instruction(self):
+        """An interior instruction lies in every reached block whose
+        extent holds it: reaching it starts a second, overlapping block
+        and leaves the first one whole."""
         binary = assemble(BRANCHY)
         block_map = BlockMap(binary)
         block = block_map.discover(0)
-        assert block_map.block_of(INSTRUCTION_SIZE) is block
-        assert block_map.block_of(0x9999) is None
+        assert block_map.blocks_containing(INSTRUCTION_SIZE) == [block]
+        inner = block_map.discover(INSTRUCTION_SIZE)
+        assert list(inner.instructions) == list(block.instructions[1:])
+        assert len(block.instructions) == 3
+        assert block_map.blocks_containing(INSTRUCTION_SIZE) == \
+            [inner, block]
+        assert block_map.blocks_containing(0x9999) == []
 
 
 class TestCodeCache:

@@ -109,6 +109,35 @@ class TestSingleVariantAttacks:
         assert result.survived_at is None
 
 
+class TestVetOncePerModel:
+    @pytest.mark.parametrize("defect_id,vets", [
+        ("soft-hyphen", 1), ("neg-index", 3)])
+    def test_each_candidate_vetted_once(self, prepared_exercise,
+                                        monkeypatch, defect_id, vets):
+        """An accepted vet verdict holds until the model changes, so a
+        20-presentation attack vets each deployed candidate once, not
+        once per deployment decision (soft-hyphen's one candidate, and
+        the first candidate of each of neg-index's three sessions)."""
+        from repro.analysis.vetting import Vetter
+
+        calls = []
+        vet = Vetter.vet
+
+        def counted(vetter, patches, description=""):
+            calls.append(description)
+            return vet(vetter, patches, description=description)
+
+        monkeypatch.setattr(Vetter, "vet", counted)
+        attack = exploit(defect_id)
+        result = prepared_exercise._for_defect(attack).attack(
+            attack, max_presentations=20)
+        vetted = [scored for session in result.sessions
+                  for scored in session.evaluator.scored
+                  if scored.vetted_model is not None]
+        assert len(vetted) == len(calls) == vets
+        assert len(set(calls)) == len(calls)
+
+
 class TestReconfigurations:
     def test_gif_sign_needs_deeper_stack(self, prepared_exercise,
                                          expanded_exercise):

@@ -53,21 +53,21 @@ def warm_snapshot(browser, tmp_path):
 
 class TestRoundTrip:
     def test_state_identity(self, warm_snapshot):
-        """Load reproduces block starts, lengths, truncations, and the
-        cached set exactly; re-encoding the loaded state is
-        byte-identical (canonical form)."""
+        """Load reproduces the reached starts in reach order exactly,
+        and a cache restored from them holds the same blocks;
+        re-encoding the loaded state is byte-identical (canonical
+        form)."""
         binary, path, cache = warm_snapshot
-        block_map, cached = load_snapshot(path, binary)
-        assert set(block_map.blocks) == set(cache.block_map.blocks)
-        for start, block in cache.block_map.blocks.items():
-            loaded = block_map.blocks[start]
-            assert loaded.instructions == block.instructions
-            assert loaded.truncated == block.truncated
-        assert cached == frozenset(cache._cached)
+        reached = load_snapshot(path, binary)
+        assert [block.start for block in reached] == \
+            list(cache.block_map.blocks)
 
         from repro.dynamo.code_cache import CodeCache
         reloaded = CodeCache(binary)
-        reloaded.restore((block_map, cached))
+        reloaded.restore(reached)
+        for start, block in cache.block_map.blocks.items():
+            assert reloaded.block_map.blocks[start].instructions == \
+                block.instructions
         assert encode_snapshot(reloaded, binary) == \
             encode_snapshot(cache, binary)
 
@@ -132,9 +132,9 @@ class TestRoundTrip:
         config.save_snapshot = str(path)
         environment = ManagedEnvironment(binary, config)
         environment.run(evaluation_pages()[0])
-        block_map, cached = load_snapshot(path, binary)
-        assert cached
-        assert set(block_map.blocks) == \
+        reached = load_snapshot(path, binary)
+        assert reached
+        assert {block.start for block in reached} == \
             set(environment.last_code_cache.block_map.blocks)
 
 
@@ -188,12 +188,12 @@ class TestStaleRejection:
 
     def test_corrupt_block_entry_rejected(self, warm_snapshot,
                                           tmp_path):
-        """A digest-valid file whose block entries point outside the
-        image must still surface as SnapshotError, never a decode
-        crash."""
+        """A digest-valid file whose reached entries are not start pcs
+        (here an older layout's ``[start, count, truncated]`` extent)
+        must still surface as SnapshotError, never a crash."""
         binary, path, _ = warm_snapshot
         payload = read_snapshot(path)
-        payload["blocks"][0] = [payload["blocks"][0][0], 10 ** 6, False]
+        payload["reached"][0] = [payload["reached"][0], 10 ** 6, False]
         bad = tmp_path / "corrupt.json"
         bad.write_text(json.dumps(payload))
         with pytest.raises(SnapshotError, match="malformed"):
@@ -203,7 +203,7 @@ class TestStaleRejection:
                                            tmp_path):
         binary, path, _ = warm_snapshot
         payload = read_snapshot(path)
-        payload["cached"] = list(payload["cached"]) + [999996]
+        payload["reached"] = list(payload["reached"]) + [999996]
         bad = tmp_path / "unknown.json"
         bad.write_text(json.dumps(payload))
         with pytest.raises(SnapshotError, match="unknown blocks"):
@@ -224,8 +224,8 @@ class TestStaleRejection:
     def test_engine_version_is_pinned(self):
         """Bumping the kernel generation must be a conscious act: this
         string gates every snapshot ever written."""
-        assert ENGINE_VERSION == "superblock-trace-2"
-        assert SCHEMA_VERSION == 2
+        assert ENGINE_VERSION == "superblock-trace-3"
+        assert SCHEMA_VERSION == 3
 
 
 class TestCommunityWarmStart:
@@ -331,8 +331,7 @@ class TestCrashSafeSave:
         binary, path, _ = warm_snapshot
         stray = path.parent / (path.name + ".dead1234.tmp")
         stray.write_bytes(path.read_bytes()[:37])  # truncated mid-JSON
-        block_map, cached = load_snapshot(path, binary)
-        assert cached  # the real snapshot loaded, whole
+        assert load_snapshot(path, binary)  # the real snapshot, whole
         with pytest.raises(SnapshotError):
             read_snapshot(stray)  # the litter itself is rejected
 

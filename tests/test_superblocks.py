@@ -281,15 +281,17 @@ class TestFusion:
     def test_straight_line_block_is_compiled(self):
         binary = assemble(FUSION_PROGRAM)
         cpu = CPU(binary)
-        cpu.add_hook(CodeCache(binary))
+        cache = CodeCache(binary)
+        cpu.add_hook(cache)
         cpu.run()
-        # The entry block was registered and compiled into a run whose
+        # The entry block was reached and compiled into a run whose
         # segments cover every instruction of the block.
-        assert 0 in cpu.bus.blocks
+        assert cache.is_cached(binary.entry_point)
         run = cpu._compiled.get(binary.entry_point)
         assert run not in (None, False)
         segments, count = run
         assert count == sum(seg_count for _, seg_count, _ in segments)
+        assert count == len(binary.block_at(binary.entry_point))
         # Plain block runs carry no trace guards.
         assert all(guard is None for _, _, guard in segments)
         assert count >= 2
@@ -406,34 +408,6 @@ bump:
     load ebx, [esi+0]
     add eax, ebx
     ret
-"""
-
-#: A counted loop whose body can also be entered half-way, at ``mid``.
-#: A positive request runs ``body`` that many times.  A negative one
-#: enters at ``mid`` first, so that launch decodes ``body`` truncated at
-#: ``mid`` (a block ends where a known block starts).
-REENTRY_PROGRAM = """
-main:
-    load ecx, [0x100000]
-    mov eax, 0
-    cmp ecx, 0
-    jl early
-body:
-    add eax, 1
-    add eax, 2
-mid:
-    add eax, 3
-    sub ecx, 1
-    jmp latch
-latch:
-    cmp ecx, 0
-    jne body
-done:
-    out eax
-    halt
-early:
-    neg ecx
-    jmp mid
 """
 
 #: The stack top of an assembled program's default address space.
@@ -569,9 +543,9 @@ class TestTraceTier:
 
     def test_recording_survives_block_builds(self):
         """Fresh per-request launches build every block on arrival, so
-        the code cache bumps the anchor generation between each pair of
-        members of the recording the head's threshold crossing starts.
-        The recording must survive those bumps and publish when its last
+        the code cache builds each member of the recording the head's
+        threshold crossing starts while that recording is open.  The
+        recording must survive the builds and publish when its last
         member halts — even though the code after the HALT (``bad``,
         run by the first, faulting launch) already has a compiled run —
         and every launch must match the step loop."""
@@ -646,33 +620,6 @@ class TestTraceTier:
         health = trace_selection_health(binary)
         assert health["undecided"] == 0
         assert health["published"]
-
-    def test_crossing_in_an_odd_launch_rearms_the_head(self):
-        """A head may cross TRACE_THRESHOLD in a launch whose discovery
-        order keeps it from chaining its hottest edge.  The middle launch
-        here enters the loop at ``mid``, so its ``body`` block is
-        truncated there and no longer matches the run an earlier launch
-        compiled for it.  Both loop heads cross the threshold in that
-        launch; they must heat up again instead of being refused for
-        good, so that the next ordinary launch publishes the loop's path.
-        Every launch matches the step loop."""
-        binary = assemble(REENTRY_PROGRAM)
-        body, latch = binary.symbols["body"], binary.symbols["latch"]
-        for request in (4, -40, 40):
-            fast, cpu, _ = _launch(binary, slow=False, request=request)
-            assert fast == _launch(binary, slow=True, request=request)[0]
-            assert fast[-1] is None
-            if request < 0:
-                items, index = cpu.bus.blocks[body]
-                assert len(items) - index == 2  # cut at mid
-                assert cpu._compiled[body][1] == 5
-                for head in (body, latch):
-                    retired = sum(binary._edge_profile[head].values())
-                    assert retired >= TRACE_THRESHOLD > \
-                        binary._trace_profile[head]
-                assert binary._trace_paths == {}
-        assert binary._trace_paths == {latch: (latch, body)}
-        assert cpu.trace_retired > 0
 
 
 FAULTING_STORE_PROGRAM = """
