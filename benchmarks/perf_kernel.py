@@ -2,7 +2,7 @@
 
 Measures how fast the MiniX86 kernel retires instructions on the
 WebBrowse evaluation workload (the paper's page-load workload, Table 2)
-under four representative configurations:
+under five representative configurations:
 
 - ``bare``       — no monitors; the raw interpreter + code cache.
                    Every run launches a *cold* instance (fresh code
@@ -18,14 +18,6 @@ under four representative configurations:
                    plus a persistent snapshot loaded from disk.  The
                    warm / cold-short ratio is the snapshot tier's
                    short-run win.
-- ``learning-pruned`` — ``learning`` with the static observation pruner
-                   (``repro.analysis.pruning``): a scout pass proves
-                   operand slots constant and drops them from the
-                   extraction plan.  The ``--once`` record carries the
-                   observation count, so ``run_bench.py --compare``
-                   can report the record-count reduction next to the
-                   throughput verdict.  On trees that predate the
-                   pruner it silently degrades to plain ``learning``.
 
 Every record is ``{config_label, instructions_per_sec, steps, seconds}``
 so successive commits can be compared: the perf trajectory lives in
@@ -49,8 +41,7 @@ from repro.learning.traces import TraceFrontEnd
 from repro.vm.cpu import CPU
 
 #: Configurations reported in the perf trajectory, in order.
-CONFIG_LABELS = ("bare", "MF+HG+SS", "learning", "learning-pruned",
-                 "cold-short", "warm")
+CONFIG_LABELS = ("bare", "MF+HG+SS", "learning", "cold-short", "warm")
 
 #: Snapshot file the ``warm`` configuration loads; created lazily from
 #: one warming pass over the workload and removed at exit.
@@ -116,31 +107,7 @@ class BenchRecord:
         }
 
 
-#: Pruning plan for the ``learning-pruned`` config, computed once per
-#: process (the scout pass costs one untraced run of the workload).
-#: ``False`` marks "tried and unavailable" (old tree or dirty image).
-_pruning_plan = None
-
-
-def _workload_pruned_pcs(binary, pages: list[bytes]) -> frozenset[int]:
-    global _pruning_plan
-    if _pruning_plan is None:
-        try:
-            from repro.analysis.pruning import scout_pruning_plan
-            _pruning_plan = scout_pruning_plan(binary, list(pages)) \
-                or False
-        except ImportError:
-            # The old side of a --compare pair may predate the pruner;
-            # degrade to plain learning so the pair still measures.
-            _pruning_plan = False
-    if _pruning_plan is False:
-        return frozenset()
-    return _pruning_plan.pruned_pcs
-
-
-def _build_environment(binary, label: str,
-                       pages: list[bytes] | None = None
-                       ) -> ManagedEnvironment:
+def _build_environment(binary, label: str) -> ManagedEnvironment:
     if label in ("bare", "cold-short"):
         return ManagedEnvironment(binary, EnvironmentConfig.bare())
     if label == "warm":
@@ -150,22 +117,12 @@ def _build_environment(binary, label: str,
         return ManagedEnvironment(binary, config)
     if label == "MF+HG+SS":
         return ManagedEnvironment(binary, EnvironmentConfig.full())
-    if label in ("learning", "learning-pruned"):
+    if label == "learning":
         environment = ManagedEnvironment(binary, EnvironmentConfig.full())
         procedures = ProcedureDatabase(binary)
         environment.cache_plugins.append(DiscoveryPlugin(procedures))
-        engine = InferenceEngine(procedures)
-        pruned = frozenset()
-        if label == "learning-pruned":
-            pruned = _workload_pruned_pcs(binary, pages or [])
-        if pruned:
-            front_end = TraceFrontEnd(engine, procedures,
-                                      pruned_pcs=pruned)
-        else:
-            front_end = TraceFrontEnd(engine, procedures)
-        environment.extra_hooks.append(front_end)
-        #: Exposed so --once can report the observation-record count.
-        environment.bench_engine = engine
+        environment.extra_hooks.append(
+            TraceFrontEnd(InferenceEngine(procedures), procedures))
         return environment
     raise ValueError(f"unknown configuration label: {label}")
 
@@ -196,7 +153,7 @@ def calibration_pass() -> float:
 
 def _timed_pass(binary, label: str, pages: list[bytes]) -> dict:
     """One timed pass of *label* over *pages*: a single sample."""
-    environment = _build_environment(binary, label, pages)
+    environment = _build_environment(binary, label)
     steps = 0
     started = time.perf_counter()
     for page in pages:
@@ -261,7 +218,7 @@ def measure_once(label: str) -> dict:
     binary = build_browser().stripped()
     pages = evaluation_pages()
     CPU(binary)  # warm shared decode/threaded caches outside the timing
-    environment = _build_environment(binary, label, pages)
+    environment = _build_environment(binary, label)
     steps = 0
     started = time.perf_counter()
     for page in pages:
@@ -271,18 +228,12 @@ def measure_once(label: str) -> dict:
             raise RuntimeError(
                 f"workload page failed under {label}: {result.detail}")
     seconds = time.perf_counter() - started
-    record = {
+    return {
         "config_label": label,
         "steps": steps,
         "seconds": seconds,
         "instructions_per_sec": steps / seconds if seconds > 0 else 0.0,
     }
-    engine = getattr(environment, "bench_engine", None)
-    if engine is not None:
-        # Learning configs report their record stream size, so a
-        # --compare pair can state the pruner's record-count reduction.
-        record["observations"] = engine.observations
-    return record
 
 
 def measure_paired_samples(binary, labels: tuple[str, ...],
@@ -422,7 +373,7 @@ def profile_config(label: str, top: int = 20) -> None:
     binary = build_browser().stripped()
     pages = evaluation_pages()
     CPU(binary)  # warm shared decode/threaded caches outside the profile
-    environment = _build_environment(binary, label, pages)
+    environment = _build_environment(binary, label)
     profiler = cProfile.Profile()
     profiler.enable()
     steps = traced = 0

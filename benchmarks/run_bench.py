@@ -389,23 +389,6 @@ def compare_against(ref: str, labels: tuple[str, ...],
         print(f"{label:>10}: {verdict.old_median:>12,.1f} -> "
               f"{verdict.new_median:>12,.1f} instr/sec "
               f"{verdict.describe()}")
-        # Learning configs carry their observation-record counts; a
-        # pruning claim is a record-count reduction, stated next to
-        # the throughput verdict it buys.
-        old_obs = [record["observations"]
-                   for record in samples[("old", label)]
-                   if "observations" in record]
-        new_obs = [record["observations"]
-                   for record in samples[("new", label)]
-                   if "observations" in record]
-        if old_obs and new_obs:
-            old_median = perf_stats.median(old_obs)
-            new_median = perf_stats.median(new_obs)
-            change = new_median / old_median - 1.0 \
-                if old_median else 0.0
-            print(f"{'':>10}  observation records "
-                  f"{old_median:,.0f} -> {new_median:,.0f} "
-                  f"({change:+.1%})")
     return 0
 
 

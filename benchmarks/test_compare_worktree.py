@@ -135,25 +135,6 @@ class TestCompareAgainst:
         assert "REGRESSED" in out
         assert "6 pairs" in out
 
-    def test_observation_reduction_reported(self, capsys):
-        """Learning-config records carry observation counts; the
-        comparison must state the record-count reduction next to the
-        paired throughput verdict (the pruning claim's shape)."""
-        before = registered_worktrees()
-        runner = FakeRunner()
-
-        def with_observations(src, label):
-            side_is_new = str(src).startswith(str(REPO_ROOT))
-            record = runner(src, label)
-            record["observations"] = 15_000 if side_is_new else 20_000
-            return record
-
-        assert compare_against("HEAD", ("learning-pruned",), repeats=3,
-                               runner=with_observations) == 0
-        out = capsys.readouterr().out
-        assert registered_worktrees() == before
-        assert "observation records 20,000 -> 15,000 (-25.0%)" in out
-
     @pytest.mark.slow
     def test_end_to_end_subprocess_path_against_head(self, capsys):
         """The real thing once: worktree checkout of HEAD, interleaved

@@ -1,14 +1,10 @@
 """Static dataflow analysis over the MiniX86 CFG.
 
-Two consumers sit on the shared framework (worklist solvers, liveness,
-constant/stack-pointer propagation, write-region summaries):
-
-- :mod:`repro.analysis.vetting` — pre-deployment patch vetting, so
-  statically-unsafe repair candidates are ejected before any community
-  member runs them;
-- :mod:`repro.analysis.pruning` — static observation pruning, dropping
-  provably-constant operand records from the learning extraction plan
-  while reproducing their statistics exactly.
+The framework (worklist solvers, liveness, constant/stack-pointer
+propagation, write-region summaries) serves
+:mod:`repro.analysis.vetting`, pre-deployment patch vetting, so
+statically-unsafe repair candidates are ejected before any community
+member runs them.
 """
 
 from repro.analysis.constprop import (
@@ -17,11 +13,6 @@ from repro.analysis.constprop import (
     compute_summaries,
 )
 from repro.analysis.liveness import Liveness
-from repro.analysis.pruning import (
-    PruningPlan,
-    build_pruning_plan,
-    scout_pruning_plan,
-)
 from repro.analysis.regions import WriteRegions, write_regions
 from repro.analysis.vetting import (
     RULE_ALIGNMENT,
@@ -37,7 +28,6 @@ from repro.analysis.vetting import (
 __all__ = [
     "Liveness",
     "ProcedureAnalysis",
-    "PruningPlan",
     "RULE_ALIGNMENT",
     "RULE_CLOBBER",
     "RULE_PROGRESS",
@@ -48,8 +38,6 @@ __all__ = [
     "VetReport",
     "Vetter",
     "WriteRegions",
-    "build_pruning_plan",
     "compute_summaries",
-    "scout_pruning_plan",
     "write_regions",
 ]

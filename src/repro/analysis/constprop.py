@@ -1,7 +1,7 @@
 """Forward constant / stack-pointer propagation over procedure CFGs.
 
 One abstract value per register, in a flat lattice whose elements mirror
-exactly what the observation-pruning consumer must prove:
+exactly what a dynamic operand record would carry:
 
 - ``("const", v)`` — the register holds the 32-bit value *v* on every
   path (the value an extractor record would carry);

@@ -489,10 +489,13 @@ class ClearView:
         session.times.unsuccessful_repair_runs += elapsed
         session.unsuccessful_runs += 1
         self.events.append(f"repair-failed {session.failure_id}: {key}")
-        if was_deployed:
-            # A *deployed* repair turning bad is a fleet-wide
-            # revocation: the rotation below withdraws it from every
-            # member.  Flap damping: revoked twice → blacklisted, so
+        session.state = SessionState.EVALUATING
+        self._apply_best_repair(session)
+        if was_deployed and session.current_repair is not scored:
+            # The rotation withdrew a *deployed* repair from every
+            # member: that withdrawal is the revocation.  A failed
+            # repair that still ranks best stays installed and is not
+            # revoked.  Flap damping: revoked twice → blacklisted, so
             # the community never oscillates between two half-working
             # repairs.
             scored.revocations += 1
@@ -502,8 +505,6 @@ class ClearView:
                 session.evaluator.blacklist(scored)
                 self.events.append(
                     f"repair-blacklisted {session.failure_id}: {key}")
-        session.state = SessionState.EVALUATING
-        self._apply_best_repair(session)
 
     # ------------------------------------------------------------------
     # Observation folding

@@ -50,28 +50,18 @@ class TraceFrontEnd(ExecutionHook):
     traced_procedures:
         If not None, only instructions belonging to these procedure
         entries are traced (partial/distributed learning).
-    pruned_pcs:
-        Instruction addresses the static pruner proved redundant
-        (:mod:`repro.analysis.pruning`); their extractors are never
-        compiled, so the records simply do not exist.  The set is fixed
-        for the front end's lifetime, so the kernel filter stays
-        epoch-stable.
     """
 
     lazy_operands = True
 
     def __init__(self, engine: InferenceEngine,
                  procedures: ProcedureDatabase,
-                 traced_procedures: set[int] | None = None,
-                 pruned_pcs: frozenset[int] = frozenset()):
+                 traced_procedures: set[int] | None = None):
         self.engine = engine
         self.procedures = procedures
         self.traced_procedures = traced_procedures
-        self.pruned_pcs = pruned_pcs
         # Tracing everything means the kernel filter is the identity
-        # forever — let the kernel skip epoch polling.  (The pruned set
-        # is fixed at construction, so it never perturbs epoch
-        # stability.)
+        # forever — let the kernel skip epoch polling.
         self.observation_epoch_stable = traced_procedures is None
         self._activations: list[_Activation] = []
         self.traced = 0
@@ -83,10 +73,7 @@ class TraceFrontEnd(ExecutionHook):
     # -- kernel-level observation filter --------------------------------------
 
     def observes(self, pc: int) -> bool:
-        """Partial tracing at the CPU: snapshot only traced procedures
-        (minus statically pruned instructions)."""
-        if pc in self.pruned_pcs:
-            return False
+        """Partial tracing at the CPU: snapshot only traced procedures."""
         if self.traced_procedures is None:
             return True
         procedure = self.procedures.procedure_of(pc)

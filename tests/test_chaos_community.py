@@ -300,3 +300,36 @@ class TestRevocationWave:
             held = {patch["description"]
                     for patch in member.applied_patches()}
             assert key not in held
+
+    def test_parallel_takeover_is_not_a_revocation(self, make_manager):
+        """The parallel evaluator withdraws the deployed repair to farm
+        the candidates out, twice here.  A takeover is not a failure:
+        the repair is never charged, revoked or blacklisted, and the
+        wave's winner ends up on every member."""
+        manager = make_manager(members=2)
+        failure_pc, page = drive_to_evaluation(manager, defect="gc-collect")
+        clearview = manager.clearview
+        session = clearview.sessions[failure_pc]
+        for _ in range(6):
+            if session.state.value == "patched":
+                break
+            manager.attack(page)
+        assert session.state.value == "patched"
+        deployed = session.current_repair
+        key = deployed.candidate.description
+        for _ in range(2):
+            assert manager.evaluate_candidates_in_parallel(
+                failure_pc, page) >= 1
+            assert session.state.value == "patched"
+        assert deployed.failures == 0
+        assert deployed.revocations == 0 and not deployed.blacklisted
+        assert not any(event.startswith(("repair-revoked",
+                                         "repair-blacklisted"))
+                       for event in clearview.events)
+        record = health_record(manager, key)
+        assert record["revocations"] == 0 and not record["blacklisted"]
+        winner = {patch.description for patch in session.current_patches}
+        for member in manager.environment.alive_members():
+            held = {patch["description"]
+                    for patch in member.applied_patches()}
+            assert winner <= held

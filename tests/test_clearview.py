@@ -212,6 +212,10 @@ def failure_at(pc: int):
                                      monitor="test")
 
 
+def completed(payload) -> RunResult:
+    return RunResult(outcome=Outcome.COMPLETED, output=[], steps=1)
+
+
 def health_record(clearview, scored) -> dict:
     """The patch-health report's record of *scored*."""
     return next(record for record in
@@ -278,12 +282,12 @@ class TestOneJudge:
         assert key not in installed
         assert successor.candidate.description in installed
 
-    def test_revoked_repair_that_still_ranks_best_stays_deployed(
+    def test_failed_repair_that_still_ranks_best_stays_deployed(
             self, protected, monkeypatch):
         """A deployed repair fails at its own location while every other
-        candidate has already failed once: it is revoked, still ranks
-        best, and so stays installed.  The report must say it is
-        deployed."""
+        candidate has already failed once: it still ranks best, so it
+        stays installed.  Nothing was withdrawn, so nothing is revoked,
+        and the report must say it is deployed and healthy."""
         binary, clearview = protected
         for _ in range(4):
             clearview.run(attack_page())
@@ -294,15 +298,120 @@ class TestOneJudge:
             if scored is not proven:
                 session.evaluator.record_failure(scored)
         present(clearview, monkeypatch, failure_at(session.failure_pc))
-        assert proven.failures == 1 and proven.revocations == 1
+        assert proven.failures == 1 and proven.revocations == 0
         assert session.current_repair is proven
         installed = {patch.description
                      for patch in clearview.environment.patches}
         assert proven.candidate.description in installed
         health = patch_health(clearview.sessions.values())
-        assert health["watched"] == 1 and health["revocations"] == 1
+        assert health["watched"] == 1 and health["revocations"] == 0
         record = health_record(clearview, proven)
-        assert record["deployed"] and record["status"] == "bad"
+        assert record["deployed"] and record["status"] == "healthy"
+        assert not any(event.startswith("repair-revoked")
+                       for event in clearview.events)
+
+    def test_repeated_own_failures_never_blacklist_a_kept_repair(
+            self, protected, monkeypatch):
+        """Flap damping blacklists a repair withdrawn twice.  A deployed
+        repair that fails at its own location twice, proving itself
+        again in between, but outranks every other candidate each time
+        is never withdrawn, so it is neither revoked nor blacklisted,
+        and stays installed."""
+        binary, clearview = protected
+        for _ in range(4):
+            clearview.run(attack_page())
+        session = next(iter(clearview.sessions.values()))
+        proven = session.current_repair
+        for scored in session.evaluator.scored:
+            if scored is not proven:
+                session.evaluator.record_failure(scored)
+        for _ in range(2):
+            present(clearview, monkeypatch, completed)
+            assert session.state is SessionState.PATCHED
+            present(clearview, monkeypatch,
+                    failure_at(session.failure_pc))
+            assert session.current_repair is proven
+        assert proven.failures == 2 and session.unsuccessful_runs == 2
+        assert proven.revocations == 0 and not proven.blacklisted
+        installed = {patch.description
+                     for patch in clearview.environment.patches}
+        assert proven.candidate.description in installed
+        assert not any(event.startswith(("repair-revoked",
+                                         "repair-blacklisted"))
+                       for event in clearview.events)
+        record = health_record(clearview, proven)
+        assert record["deployed"] and record["status"] == "healthy"
+
+    def test_kept_repair_is_revoked_once_when_withdrawn(
+            self, protected, monkeypatch):
+        """A deployed repair kept after its first own failure and
+        withdrawn after its second is revoked once, by the withdrawal:
+        the revocation follows its successor's deployment, and one
+        revocation is not enough to blacklist it."""
+        binary, clearview = protected
+        for _ in range(4):
+            clearview.run(attack_page())
+        session = next(iter(clearview.sessions.values()))
+        proven = session.current_repair
+        key = proven.candidate.description
+        for scored in session.evaluator.scored:
+            if scored is not proven:
+                session.evaluator.record_failure(scored)
+        present(clearview, monkeypatch, failure_at(session.failure_pc))
+        assert session.current_repair is proven
+        present(clearview, monkeypatch, completed)
+        assert session.state is SessionState.PATCHED
+        rival = next(scored for scored in session.evaluator.ranking()
+                     if scored is not proven)
+        for _ in range(proven.successes + 1):
+            session.evaluator.record_success(rival)
+        present(clearview, monkeypatch, failure_at(session.failure_pc))
+        assert proven.failures == 2
+        assert session.current_repair is rival
+        assert proven.revocations == 1 and not proven.blacklisted
+        revoked = [index for index, event in enumerate(clearview.events)
+                   if event.startswith("repair-revoked")]
+        assert len(revoked) == 1 and key in clearview.events[revoked[0]]
+        applied = clearview.events.index(
+            f"repair-applied {session.failure_id}: "
+            f"{rival.candidate.description}")
+        assert applied < revoked[0]
+        assert not any(event.startswith("repair-blacklisted")
+                       for event in clearview.events)
+        installed = {patch.description
+                     for patch in clearview.environment.patches}
+        assert key not in installed
+        assert rival.candidate.description in installed
+        assert health_record(clearview, proven)["revocations"] == 1
+
+    def test_unproven_repair_failures_are_never_revocations(
+            self, protected, monkeypatch):
+        """A repair that fails while still under evaluation was never
+        deployed, so rotating away from it revokes nothing, however
+        many candidates fail in turn."""
+        binary, clearview = protected
+        for _ in range(3):
+            clearview.run(attack_page())
+        session = next(iter(clearview.sessions.values()))
+        assert session.state is SessionState.EVALUATING
+        failed = []
+        for _ in range(3):
+            failed.append(session.current_repair)
+            present(clearview, monkeypatch,
+                    failure_at(session.failure_pc))
+            assert session.state is SessionState.EVALUATING
+            assert all(session.current_repair is not scored
+                       for scored in failed)
+        assert len({id(scored) for scored in failed}) == 3
+        for scored in failed:
+            assert scored.failures == 1
+            assert scored.revocations == 0 and not scored.blacklisted
+        assert session.current_repair.never_failed
+        assert not any(event.startswith(("repair-revoked",
+                                         "repair-blacklisted"))
+                       for event in clearview.events)
+        assert patch_health(clearview.sessions.values())[
+            "revocations"] == 0
 
     @pytest.mark.parametrize("state,fired,blamed", [
         (SessionState.PATCHED, True, True),

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.apps import learning_pages
+from repro.apps.mailserver import build_mailserver, normal_messages
 from repro.dynamo import EnvironmentConfig, ManagedEnvironment, Outcome
-from repro.learning import learn
+from repro.learning import harness, learn
+from repro.learning.traces import TraceFrontEnd
 from repro.redteam.scoring import (
     DisplayComparison,
     compare_displays,
@@ -61,6 +66,42 @@ class TestLearningHarness:
                        config=EnvironmentConfig.bare())
         assert result.excluded_runs == 0
         assert len(result.database) > 0
+
+    def test_episodes_on_one_image_learn_one_model(self):
+        """A learning episode is a function of the image and the
+        workload: episodes on the same image learn the identical model,
+        whatever an earlier episode compiled."""
+        binary = build_mailserver().stripped()
+        first = learn(binary, normal_messages())
+        second = learn(binary, normal_messages())
+        assert first.observations == second.observations > 0
+        assert first.database.to_dict() == second.database.to_dict()
+
+    def test_learning_leaves_no_front_end_on_the_callers_image(
+            self, monkeypatch):
+        """Compiled tables are keyed by the lazy hook instances, so an
+        episode compiles into its own copy of the image: the caller's
+        image, even an already-stripped one, holds none of an episode's
+        tables, and once the results are dropped no front end (nor the
+        engine behind it) stays alive, however many episodes ran."""
+        front_ends = weakref.WeakSet()
+        built = []
+
+        class TrackedFrontEnd(TraceFrontEnd):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                front_ends.add(self)
+                built.append(type(self))
+
+        monkeypatch.setattr(harness, "TraceFrontEnd", TrackedFrontEnd)
+        binary = assemble(CRASHY).stripped()
+        results = [learn(binary, [b"ab", b"abc"]) for _ in range(3)]
+        assert all(result.observations > 0 for result in results)
+        assert len(built) == 3
+        assert binary._shared_tables is None
+        del results
+        gc.collect()
+        assert len(front_ends) == 0
 
 
 class TestScoring:

@@ -4,9 +4,13 @@ small purpose-built programs."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.learning import (
     LessThan,
     LowerBound,
@@ -329,3 +333,79 @@ class TestSoundness:
             environment.run(payload)
         assert checked
         assert not failures
+
+
+ENGINE_MODULE = "repro.learning.inference"
+
+
+def _engine_private_uses(path: Path, root: Path) -> list[str]:
+    """Underscored names of the engine module that *path* imports, or
+    reads off the module object it imports."""
+    package = path.relative_to(root).with_suffix("").parts[:-1]
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = set()
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(alias.asname for alias in node.names
+                           if alias.name == ENGINE_MODULE and alias.asname)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] \
+                if node.level else ()
+            module = ".".join(base + tuple(
+                node.module.split(".") if node.module else ()))
+            for alias in node.names:
+                if module == ENGINE_MODULE and alias.name.startswith("_"):
+                    uses.append(alias.name)
+                if f"{module}.{alias.name}" == ENGINE_MODULE:
+                    aliases.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases:
+            uses.append(node.attr)
+    return uses
+
+
+class TestStatisticsFormat:
+    def test_only_the_engine_knows_its_statistics_format(self):
+        """The engine's statistics (``_VariableStats``, ``_PairStats``,
+        ``_SPStats``, the FNV constants) are private to
+        ``repro.learning.inference``: no other module of the package
+        imports an underscored name from it."""
+        package = Path(repro.__file__).parent
+        engine = package / "learning" / "inference.py"
+        offenders = {}
+        for path in sorted(package.rglob("*.py")):
+            if path == engine:
+                continue
+            uses = _engine_private_uses(path, package.parent)
+            if uses:
+                offenders[str(path.relative_to(package))] = uses
+        assert offenders == {}
+
+    def test_private_use_scan_sees_each_import_form(self, tmp_path):
+        """The scan above finds absolute, relative and module-attribute
+        reads of the engine's underscored names."""
+        learning = tmp_path / "repro" / "learning"
+        learning.mkdir(parents=True)
+        forms = {
+            "absolute.py": "from repro.learning.inference import "
+                           "_PairStats, InferenceEngine\n",
+            "relative.py": "from .inference import _FNV_MASK\n",
+            "module.py": "from repro.learning import inference as engine\n"
+                         "stats = engine._SPStats\n",
+            "dotted.py": "import repro.learning.inference as engine\n"
+                         "stats = engine._VariableStats()\n",
+            "public.py": "from repro.learning.inference import "
+                         "InferenceEngine\n",
+        }
+        for name, source in forms.items():
+            (learning / name).write_text(source)
+        found = {name: _engine_private_uses(learning / name, tmp_path)
+                 for name in forms}
+        assert found == {"absolute.py": ["_PairStats"],
+                         "relative.py": ["_FNV_MASK"],
+                         "module.py": ["_SPStats"],
+                         "dotted.py": ["_VariableStats"],
+                         "public.py": []}

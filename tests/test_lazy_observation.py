@@ -4,11 +4,11 @@ The contract: the kernel-level path — compiled extractors, ring buffer,
 per-pc engine digest plans — learns exactly the databases pinned below
 as golden digests (frozen when an independent per-instruction intake
 still existed and agreed with this path), learning through compiled
-runs equals learning forced through ``CPU.step()`` on both apps, and
-extractor records match the pre-state and the post-state ``step()``
-produces across the opcode space.  The mixed case, where a granular
-hook forces the step loop while the front end rides along, is covered
-too.
+runs equals learning forced through ``CPU.step()`` on both apps (also
+under the pair-scope and deduplication ablations), and extractor
+records match the pre-state and the post-state ``step()`` produces
+across the opcode space.  The mixed case, where a granular hook forces
+the step loop while the front end rides along, is covered too.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ LEARNING_APPS = {
 #: (app, mode), learned from the app's normal workload.  Frozen from a
 #: tree where the per-instruction dict intake still existed and learned
 #: the same databases, and stable across ``PYTHONHASHSEED`` values.
-#: Pruning reconstructs the full database from fewer records.
 GOLDEN = {
     ("browser", "full"): (
         "bbfa842080e2078759cb8145e30aa211a38fa0f30ef17f65aba02c256d11a347",
@@ -83,18 +82,12 @@ GOLDEN = {
     ("browser", "partial"): (
         "e1730ab83ccd742d0ae794c2a63828d6435a0541ba4268cc7a77688729adef35",
         2280),
-    ("browser", "prune"): (
-        "bbfa842080e2078759cb8145e30aa211a38fa0f30ef17f65aba02c256d11a347",
-        15483),
     ("mailserver", "full"): (
         "505ece78bc6543eae2852f22bcf5bdcfb5b7e3ddf7da17deade52a005bce3173",
         6547),
     ("mailserver", "partial"): (
         "fecb60ad6b4c9674eccebdf5653356262d0b425b2c91d45f40fabccc89cf1ef8",
         20),
-    ("mailserver", "prune"): (
-        "505ece78bc6543eae2852f22bcf5bdcfb5b7e3ddf7da17deade52a005bce3173",
-        5436),
 }
 
 
@@ -102,9 +95,7 @@ def _options(binary, mode: str) -> dict:
     if mode == "partial":
         entries = discover_all_reachable(binary).entries()
         return {"traced_procedures": set(entries[::2])}
-    if mode == "prune":
-        return {"prune": True}
-    return {}
+    return dict(ABLATIONS.get(mode, {}))
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,7 +106,15 @@ def _learned(app: str, mode: str):
     return learn(binary, workload(), **_options(binary, mode))
 
 
-MODES = ["full", "partial", "prune"]
+MODES = ["full", "partial"]
+
+#: The §2.2 ablations ``benchmarks/test_ablations.py`` measures: pairs
+#: over a procedure's predominators instead of its basic block, and no
+#: deduplication of equal variables.
+ABLATIONS = {
+    "procedure-pairs": {"pair_scope": "procedure"},
+    "no-dedup": {"deduplicate": False},
+}
 
 
 class TestGoldenDatabases:
@@ -170,7 +169,7 @@ class TestCompiledLearningEqualsStepLoop:
     the compiled runs and traces (extraction fused into the runs) must
     digest exactly the records the step loop extracts."""
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", MODES + sorted(ABLATIONS))
     @pytest.mark.parametrize("app", sorted(LEARNING_APPS))
     def test_compiled_learning_equals_step_loop(self, app, mode,
                                                 monkeypatch):

@@ -1,6 +1,6 @@
 """Units for the static dataflow framework and the vetting rules on
 small synthetic programs (the real-app pipeline is pinned by
-``test_static_vetting.py`` and ``test_observation_pruning.py``)."""
+``test_static_vetting.py``)."""
 
 from __future__ import annotations
 
