@@ -398,11 +398,12 @@ def run_churn_bench(members: int = 8, seed: int = 2009,
     seeded fault schedule.
 
     Measures best-of-*waves* pipelined probe-wave latency in three
-    regimes — healthy, degraded (one seeded casualty evicted by the
-    heartbeat prober), and recovered (the casualty relaunched, caught
-    up on the patch ledger, and re-admitted) — plus the eviction and
-    recovery wall-clocks themselves.  Returns one legacy-shaped
-    latency record (the caller lifts it to a profile via
+    regimes — healthy, degraded (one seeded casualty SIGKILLed and
+    evicted by a forced heartbeat sweep, as at a wave edge), and
+    recovered (the casualty relaunched, caught up on the patch ledger,
+    and re-admitted) — plus the eviction wall-clock (that one sweep
+    over the whole pool) and the recovery wall-clock.  Returns one
+    legacy-shaped latency record (the caller lifts it to a profile via
     ``perfvc.profiles.migrate_record``).
     """
     import multiprocessing
@@ -417,7 +418,7 @@ def run_churn_bench(members: int = 8, seed: int = 2009,
     rng = random.Random(seed)
     pages = learning_pages()
     payloads = [pages[index % len(pages)] for index in range(members * 2)]
-    transport = SocketTransport(heartbeat_interval=0.5, ping_timeout=2.0)
+    transport = SocketTransport(ping_timeout=2.0)
     manager = CommunityManager(build_browser(), members=members,
                                transport=transport)
     manager._owns_transport = True
@@ -433,8 +434,7 @@ def run_churn_bench(members: int = 8, seed: int = 2009,
         victim = manager.members[rng.randrange(members)]
         os.kill(victim.process.pid, signal.SIGKILL)
         evict_start = time.perf_counter()
-        while victim.alive and time.perf_counter() - evict_start < 30.0:
-            time.sleep(0.05)  # the background prober does the evicting
+        transport.heartbeat(force=True)
         eviction = time.perf_counter() - evict_start
         degraded = min(wave_seconds() for _ in range(waves))
 

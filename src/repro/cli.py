@@ -27,10 +27,12 @@ Commands
     --connect HOST:PORT [--name NAME]``.  ``--tls-cert``/``--tls-key``
     wrap every member channel in TLS (the paper's SSL channel); members
     pin the server certificate via ``--tls-ca``.  Lifecycle knobs:
-    ``--heartbeat-interval`` evicts members wedged between commands,
-    ``--min-members`` sets the quorum floor, and ``--reconnect`` (member
-    side) re-dials a lost manager with exponential backoff and catches
-    up on missed patches from the epoch-stamped ledger.
+    ``--heartbeat-interval`` pings members idle that long at each wave
+    edge, so one wedged between commands is evicted before work goes
+    to it; ``--min-members`` sets the quorum floor; and
+    ``--reconnect`` (member side) re-dials a lost manager with
+    exponential backoff and catches up on missed patches from the
+    epoch-stamped ledger.
 ``snapshot``
     Save or inspect a persistent code-cache snapshot (§4.4.5
     save/restore): ``snapshot save cache.json`` warms the WebBrowse
@@ -499,9 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
              "are replayed")
     community_parser.add_argument(
         "--heartbeat-interval", type=float, default=None, metavar="SECS",
-        help="probe idle members with pings on this interval so a "
-             "member wedged between commands is evicted within seconds "
-             "(process/socket transports)")
+        help="at each wave edge, ping members idle for at least this "
+             "long, so a member wedged between commands is evicted "
+             "before work goes to it (process/socket transports)")
     community_parser.add_argument(
         "--min-members", type=int, default=1, metavar="N",
         help="quorum floor: abort the episode once fewer than N "

@@ -404,7 +404,11 @@ class CommunityManager:
         """Wave-edge lifecycle sweep: admit any members that rejoined
         (or newly arrived) since the last wave, and run a heartbeat
         pass so wedged-idle members are evicted *before* work is
-        scattered onto them."""
+        scattered onto them.  The four wave edges (learning, attack,
+        immunity probe, parallel repair wave) are the only places
+        liveness is checked, and nothing runs beside the server's
+        thread, so membership cannot change under a wave already
+        formed."""
         self.transport.poll_rejoins()
         if self.transport.heartbeat_interval is not None:
             self.transport.heartbeat()

@@ -21,14 +21,15 @@ class MemberFailure(CommunityError):
     channel closed), ``"hang"`` (no reply within the per-op deadline,
     or a reply frame that failed to complete within the frame
     deadline — the wedged-mid-write case; a worker wedged *between*
-    commands is caught the same way by the heartbeat prober's ping
-    deadline), ``"malformed"`` (reply was not decodable protocol),
-    ``"handshake"`` (a socket member never established its — possibly
-    TLS — channel), or ``"error"`` (the member reported a command
-    failure, with its text; the only reason an in-process member can
-    give).  A dropped socket member is not necessarily gone for good:
-    it may reconnect and be re-admitted through the transport's rejoin
-    path (``SocketTransport.poll_rejoins``).
+    commands is caught the same way by the ping deadline of the
+    heartbeat at the next wave edge), ``"malformed"`` (reply was not
+    decodable protocol), ``"handshake"`` (a socket member never
+    established its — possibly TLS — channel), or ``"error"`` (the
+    member reported a command failure, with its text; the only reason
+    an in-process member can give).  A dropped member is not
+    necessarily gone for good: a respawned worker or a reconnecting
+    socket member re-enters through the transport's one admission path
+    (``ChannelTransport.admit``).
     """
 
     def __init__(self, member: str, reason: str, detail: str = ""):

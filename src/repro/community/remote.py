@@ -43,19 +43,20 @@ escalated to SIGKILL (a SIGSTOPped worker ignores SIGTERM until
 continued), and :meth:`ChannelTransport.close` is idempotent, so no code
 path leaves orphan processes behind.
 
-Member lifecycle (``joining → active → suspect → dropped → rejoining``):
-beyond the reactive failure policy above, the transport carries an
-active liveness layer.  When ``heartbeat_interval`` is set, a background
-prober pings every *idle* channel on that interval (``ping`` has its own
-row in the deadline table), so a worker that wedges *between* commands
-is evicted within roughly ``heartbeat_interval + ping_timeout`` seconds
-instead of poisoning the next wave.  Dropped socket members are not
-gone for good: the server's :class:`PatchLedger` journals every
-community-wide install/remove under a monotonically increasing *epoch*,
-members announce their last acknowledged epoch in an epoch-stamped
-hello, and :meth:`SocketTransport.poll_rejoins` re-admits a
-reconnecting (or newly arriving) member after replaying exactly the
-net ledger deltas it missed — see :meth:`PatchLedger.deltas_since`.
+Member lifecycle (``active ⇄ dropped``): every member enters the
+community through one call, :meth:`ChannelTransport.admit` — first
+spawn, respawn, rejoin and late arrival alike.  Beyond the reactive
+failure policy above, the manager runs :meth:`ChannelTransport.heartbeat`
+at each wave edge when ``heartbeat_interval`` is set: members idle for
+longer than the interval are pinged (``ping`` has its own row in the
+deadline table), so a worker that wedged *between* commands is evicted
+before the next wave scatters work onto it.  The transport starts no
+thread: a channel moves only inside the server's own calls.  Dropped
+members are not gone for good: the server's :class:`PatchLedger`
+journals every community-wide install/remove under a monotonically
+increasing *epoch*, members announce their last acknowledged epoch in
+an epoch-stamped hello, and admission replays exactly the net ledger
+deltas the member missed — see :meth:`PatchLedger.deltas_since`.
 
 Accounting: every frame that crosses a channel is logged with its true
 on-wire size (``Message.frame_size``, length prefix included).  A reply
@@ -76,7 +77,6 @@ import select
 import signal
 import socket
 import struct
-import threading
 import time
 import typing
 from collections import deque
@@ -559,7 +559,7 @@ class _WorkerState:
         self.patch_epoch = 0
         #: Armed by the ``wedge-idle`` fault: SIGSTOP *after* the next
         #: reply is fully on the wire, i.e. with no command in flight —
-        #: the wedge only the heartbeat prober can notice.
+        #: the wedge only a wave-edge heartbeat ping can notice.
         self.wedge_after_reply = False
 
     def decode_patch(self, payload: dict,
@@ -833,7 +833,7 @@ def serve_channel(channel: FramedChannel, name: str, binary: Binary,
             if request["mode"] == "wedge-idle":
                 # SIGSTOP only after this reply is fully delivered: the
                 # worker wedges *between* commands, invisible to every
-                # reply deadline — exactly what heartbeat probing is for.
+                # reply deadline until the next wave edge pings it.
                 state.wedge_after_reply = True
             else:
                 state.fault = {"mode": request["mode"],
@@ -913,27 +913,26 @@ class ChannelMember:
     flight at once — the worker answers them in order, so replies
     correlate by position.  Waiting is delegated to the transport, which
     pumps every sibling channel while this member's reply is awaited.
+
+    A new handle has no channel: it joins dispatch only through
+    :meth:`ChannelTransport.admit`.
     """
 
     def __init__(self, transport: "ChannelTransport", name: str,
-                 binary: Binary, channel: FramedChannel | None,
-                 process=None):
+                 binary: Binary):
         self._transport = transport
         self.name = name
         self.binary = binary
-        self.channel = channel
-        self.process = process
-        self.alive = channel is not None
-        #: Lifecycle state: ``joining → active → suspect → dropped →
-        #: rejoining → active``.  ``suspect`` is transient while a
-        #: heartbeat ping is outstanding; ``rejoining`` while a
-        #: reconnected member replays its ledger catch-up.
-        self.state = "active" if channel is not None else "joining"
+        self.channel: FramedChannel | LoopbackChannel | None = None
+        #: The worker process this transport launched for the member
+        #: (None in-process and for externally started members).
+        self.process = None
+        self.alive = False
         #: Last patch-ledger epoch this member acknowledged (0 = none);
         #: a rejoin replays the deltas after this point.
         self.acked_epoch = 0
-        #: When this member last completed traffic; the heartbeat
-        #: prober only pings channels idle longer than its interval.
+        #: When this member last completed traffic; a wave-edge
+        #: heartbeat only pings members idle longer than its interval.
         self.last_activity = _monotonic()
         #: FIFO of (op, posted_at) for in-flight commands.
         self._pending: deque[tuple[str, float]] = deque()
@@ -951,6 +950,13 @@ class ChannelMember:
     # -- low-level protocol --------------------------------------------
 
     @property
+    def state(self) -> str:
+        """Lifecycle state: ``"active"`` while the member is in
+        dispatch, ``"dropped"`` once it is not (``active ⇄ dropped``,
+        re-entered only through :meth:`ChannelTransport.admit`)."""
+        return "active" if self.alive else "dropped"
+
+    @property
     def pending_ops(self) -> int:
         return len(self._pending)
 
@@ -959,10 +965,6 @@ class ChannelMember:
 
     def post(self, op: str, **payload) -> None:
         """Send one command without waiting for the reply."""
-        with self._transport._channel_lock:
-            self._post_locked(op, **payload)
-
-    def _post_locked(self, op: str, **payload) -> None:
         if not self.alive:
             raise MemberFailure(self.name, "crash", "member already dropped")
         if len(self._pending) >= self.pipeline_depth:
@@ -991,10 +993,6 @@ class ChannelMember:
 
     def collect(self) -> dict:
         """Wait for the oldest in-flight reply; fold its side effects."""
-        with self._transport._channel_lock:
-            return self._collect_locked()
-
-    def _collect_locked(self) -> dict:
         assert self._pending, "no command in flight"
         op, posted_at = self._pending.popleft()
         timeout = self._transport.timeout_for(op)
@@ -1061,8 +1059,6 @@ class ChannelMember:
         if response.get("ok") is not True:
             self._fail("error", op, str(response.get("error",
                                                      "unspecified")))
-        if self.state == "suspect":
-            self.state = "active"
         return response
 
     def _expect(self, op: str, extract):
@@ -1083,7 +1079,6 @@ class ChannelMember:
 
     def _drop(self, reason: str, op: str, detail: str) -> None:
         self.alive = False
-        self.state = "dropped"
         self._pending.clear()
         # Release this casualty's holds on the canonical patch ledger;
         # survivors holding the same patches keep the entries live.
@@ -1104,8 +1099,10 @@ class ChannelMember:
         self._drop(reason, op, detail)
         raise MemberFailure(self.name, reason, detail) from cause
 
-    def _terminate(self) -> None:
-        if self.process is not None:
+    def _terminate(self, keep=None) -> None:
+        """Reap this member's worker process (unless it is *keep*) and
+        close its channel."""
+        if self.process is not None and self.process is not keep:
             try:
                 if self.process.is_alive():
                     self.process.terminate()
@@ -1119,27 +1116,6 @@ class ChannelMember:
                 pass
         if self.channel is not None:
             self.channel.close()
-
-    def adopt_channel(self, channel: FramedChannel, process=None) -> None:
-        """Revive a dropped (or never-joined) member on a fresh channel.
-
-        The rejoin path: the old process handle and channel are reaped
-        first, then the member restarts its protocol clocks in state
-        ``rejoining`` — it is only re-admitted to dispatch once the
-        transport's ledger catch-up completes and flips it to
-        ``active``.
-        """
-        if self.alive:
-            raise CommunityError(
-                f"member {self.name} is still connected")
-        self._terminate()
-        self.channel = channel
-        self.process = process
-        self.alive = True
-        self.state = "rejoining"
-        self._pending.clear()
-        self._last_reply_at = _monotonic()
-        self.last_activity = _monotonic()
 
     # -- member handle API ---------------------------------------------
 
@@ -1278,8 +1254,8 @@ class ChannelMember:
         never completes within the deadline), ``disconnect-mid-frame``
         (writes half the frame and drops the connection),
         ``wedge-idle`` (SIGSTOPs *after* delivering this command's
-        reply, with nothing in flight — only heartbeat probing can
-        evict it)."""
+        reply, with nothing in flight — the member stays ``active``
+        until a wave-edge heartbeat ping evicts it)."""
         self.call("inject-fault", mode=mode, at=at, seconds=seconds)
 
     def shutdown(self) -> None:
@@ -1328,18 +1304,18 @@ class ChannelTransport:
             "run": self.run_timeout,
             "probe": self.run_timeout,
             # The liveness probe is deliberately cheap: a
-            # healthy-but-busy member is never pinged (the prober skips
-            # channels with commands in flight), so a ping that does not
-            # answer promptly is a wedged-idle worker.  Defaults to the
-            # control-op deadline; heartbeat users tighten it so
-            # eviction lands within seconds.
+            # healthy-but-busy member is never pinged (the heartbeat
+            # skips channels with commands in flight), so a ping that
+            # does not answer promptly is a wedged-idle worker.
+            # Defaults to the control-op deadline; heartbeat users
+            # tighten it so a wave edge does not stall on a wedge.
             "ping": ping_timeout if ping_timeout is not None else timeout,
         }
         self.frame_deadline = frame_deadline
         self.pipeline_depth = pipeline_depth
-        #: Probe idle channels every this many seconds (None = no
-        #: heartbeat thread; explicit ``heartbeat(force=True)`` still
-        #: works for deterministic tests and wave-edge sweeps).
+        #: How long a member must be idle before a wave edge pings it
+        #: (None = no wave-edge heartbeat; explicit
+        #: ``heartbeat(force=True)`` still probes every idle member).
         self.heartbeat_interval = heartbeat_interval
         self.ping_timeout = self.op_timeouts["ping"]
         self._bus = MessageBus()
@@ -1347,13 +1323,6 @@ class ChannelTransport:
         self.members: list[ChannelMember] = []
         self.dropped: list[DroppedMember] = []
         self._closed = False
-        #: Serialises channel traffic between the server thread and the
-        #: heartbeat prober.  Re-entrant: a heartbeat wave posts and
-        #: collects pings while holding it, and the server's own nested
-        #: post/collect pairs stay atomic with respect to the prober.
-        self._channel_lock = threading.RLock()
-        self._heartbeat_stop = threading.Event()
-        self._heartbeat_thread: threading.Thread | None = None
 
     # -- bus-compatible accounting -------------------------------------
 
@@ -1395,76 +1364,96 @@ class ChannelTransport:
     def heartbeat(self, force: bool = False) -> list[str]:
         """Ping idle members; evict the ones that fail to answer.
 
-        Only members with no command in flight are probed (a busy
-        member proves liveness with its own replies, and a ping posted
-        behind a long-running command would race that command's
-        deadline).  Pings are posted to every candidate first and
-        collected after, so N suspects cost one ``ping_timeout``, not
-        N.  ``force`` probes all idle members regardless of how
-        recently they spoke.  Returns the names evicted this wave.
+        The manager calls this at each wave edge (learning, attack,
+        immunity probe, parallel repair wave) when
+        :attr:`heartbeat_interval` is set; the transport never runs it
+        on its own.  Only members with no command in flight and idle
+        for at least the interval are probed (a busy member proves
+        liveness with its own replies, and a ping posted behind a
+        long-running command would race that command's deadline).
+        Pings are posted to every candidate first and collected after,
+        so N suspects cost one ``ping_timeout``, not N.  ``force``
+        probes all idle members regardless of how recently they spoke.
+        Returns the names evicted this wave.
         """
         evicted: list[str] = []
-        with self._channel_lock:
-            interval = self.heartbeat_interval
-            now = _monotonic()
-            suspects: list[ChannelMember] = []
-            for member in self.members:
-                if not member.alive or member.pending_ops:
-                    continue
-                if not force and (interval is None or
-                                  now - member.last_activity < interval):
-                    continue
-                member.state = "suspect"
-                try:
-                    member.post("ping")
-                except MemberFailure:
-                    evicted.append(member.name)
-                    continue
-                suspects.append(member)
-            for member in suspects:
-                try:
-                    response = member.collect()
-                except MemberFailure:
-                    evicted.append(member.name)
-                    continue
-                epoch = response.get("epoch")
-                if isinstance(epoch, int) and not isinstance(epoch, bool):
-                    member.acked_epoch = epoch
-            if evicted:
-                self._compact_ledger()
-        return evicted
-
-    def start_heartbeat(self) -> None:
-        """Start the background prober (no-op without an interval)."""
-        if self.heartbeat_interval is None or self._closed or \
-                self._heartbeat_thread is not None:
-            return
-        self._heartbeat_thread = threading.Thread(
-            target=self._heartbeat_loop, name="community-heartbeat",
-            daemon=True)
-        self._heartbeat_thread.start()
-
-    def _heartbeat_loop(self) -> None:
-        # Wake at half the interval so a member idle for exactly one
-        # interval is probed within ~1.5 intervals worst case.
-        while not self._heartbeat_stop.wait(self.heartbeat_interval / 2.0):
-            if self._closed:
-                break
-            # Never queue behind a busy server: in-flight commands have
-            # their own deadlines, and a blocking acquire here would
-            # stack stale probes behind a long learn wave.
-            if not self._channel_lock.acquire(blocking=False):
+        interval = self.heartbeat_interval
+        now = _monotonic()
+        suspects: list[ChannelMember] = []
+        for member in self.members:
+            if not member.alive or member.pending_ops:
+                continue
+            if not force and (interval is None or
+                              now - member.last_activity < interval):
                 continue
             try:
-                self.heartbeat()
-            except Exception:  # noqa: BLE001 - prober must never die
-                pass
-            finally:
-                self._channel_lock.release()
+                member.post("ping")
+            except MemberFailure:
+                evicted.append(member.name)
+                continue
+            suspects.append(member)
+        for member in suspects:
+            try:
+                response = member.collect()
+            except MemberFailure:
+                evicted.append(member.name)
+                continue
+            epoch = response.get("epoch")
+            if isinstance(epoch, int) and not isinstance(epoch, bool):
+                member.acked_epoch = epoch
+        if evicted:
+            self._compact_ledger()
+        return evicted
 
     def poll_rejoins(self, budget: float = 0.0) -> list["ChannelMember"]:
         """Admit reconnecting members (socket transport only)."""
         return []
+
+    def admit(self, member: ChannelMember,
+              channel: FramedChannel | LoopbackChannel, process=None,
+              epoch: int = 0) -> bool:
+        """The one way into the community: first spawn, respawn, rejoin
+        and late arrival all come through here.
+
+        1. Reap the member's old channel and process (a *process* the
+           transport launched for this admission is kept) and adopt
+           the new ones.
+        2. Register the member's ledger holds for the live patch set,
+           before any command, so a drop mid-replay releases exactly
+           them and the survivors' refcounts stay intact.
+        3. Replay the net ledger deltas since *epoch* as one
+           ``catch-up`` command — only when *epoch* is behind the
+           ledger: a member at the ledger's epoch already holds the
+           live set, and a first admission (epoch 0 on an empty
+           ledger) sends nothing.
+        4. Record the acknowledged epoch, then compact the ledger.
+
+        Returns False when the member was dropped during catch-up.
+        """
+        member._terminate(keep=process)
+        member.channel = channel
+        member.process = process
+        member.alive = True
+        member._pending.clear()
+        member._last_reply_at = member.last_activity = _monotonic()
+        if member not in self.members:
+            self.members.append(member)
+        ledger = self.ledger
+        live = ledger.live_at(ledger.epoch)
+        for patch in live:
+            ledger.register(patch)
+        member._ledger_ids = [patch.patch_id for patch in live]
+        if epoch < ledger.epoch:
+            removes, installs = ledger.deltas_since(epoch)
+            try:
+                member.call("catch-up", **wire.catch_up_to_dict(
+                    removes, [wire.patch_to_dict(patch)
+                              for patch in installs], ledger.epoch))
+            except MemberFailure:
+                return False
+        member.acked_epoch = ledger.epoch
+        self._compact_ledger()
+        return True
 
     def _compact_ledger(self) -> None:
         """Forget journal pairs no member could still need replayed.
@@ -1567,33 +1556,11 @@ class ChannelTransport:
         Returns True once the member is back in dispatch."""
         return False
 
-    def _catch_up(self, member: "ChannelMember", epoch: int) -> None:
-        """Replay the net ledger deltas since *epoch*, then re-admit."""
-        ledger = self.ledger
-        removes, installs = ledger.deltas_since(epoch)
-        # After catch-up the member holds the whole live set; register
-        # those holds *before* the command so a drop mid-replay releases
-        # exactly them and survivors' refcounts stay intact.
-        live = ledger.live_at(ledger.epoch)
-        for patch in live:
-            ledger.register(patch)
-        member._ledger_ids = [patch.patch_id for patch in live]
-        member.call("catch-up", **wire.catch_up_to_dict(
-            removes, [wire.patch_to_dict(patch) for patch in installs],
-            ledger.epoch))
-        member.acked_epoch = ledger.epoch
-        member.state = "active"
-
     def close(self) -> None:
         """Shut every worker down; idempotent, leaves no orphans."""
         if self._closed:
             return
         self._closed = True
-        self._heartbeat_stop.set()
-        thread = self._heartbeat_thread
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout=5.0)
-        self._heartbeat_thread = None
         for member in self.members:
             member.shutdown()
 
@@ -1637,8 +1604,8 @@ class LoopbackTransport(ChannelTransport):
         if self.members:
             raise CommunityError("transport already has a worker pool")
         for name in names:
-            self.members.append(ChannelMember(
-                self, name, binary, LoopbackChannel(name, binary, config)))
+            self.admit(ChannelMember(self, name, binary),
+                       LoopbackChannel(name, binary, config))
 
     def _await_reply(self, member: ChannelMember,
                      timeout: float | None) -> bytes:
@@ -1826,14 +1793,14 @@ class SocketTransport(ChannelTransport):
             self._context = multiprocessing.get_context()
         self._listener: socket.socket | None = None
         self._server_context = None  # built once, lazily, for TLS
-        # Stashed at spawn: what a brand-new member admitted through
-        # poll_rejoins is constructed with.
+        # Stashed at spawn: what relaunched workers and brand-new
+        # members admitted by the accept loop are built from.
         self._binary: Binary | None = None
         self._config: EnvironmentConfig | None = None
-        #: Respawned worker processes awaiting their rejoin handshake,
-        #: by member name; adopted by :meth:`poll_rejoins` so the
-        #: member owns (and can reap) its fresh process handle.
-        self._pending_respawns: dict[str, object] = {}
+        #: Members :meth:`spawn` created that no hello has claimed yet
+        #: (empty outside spawn).  In ``accept_external`` mode an
+        #: unknown hello name claims the first one and renames it.
+        self._placeholders: list[ChannelMember] = []
 
     def listen(self) -> tuple[str, int]:
         """Bind the member listener; returns the bound (host, port)."""
@@ -1843,245 +1810,175 @@ class SocketTransport(ChannelTransport):
             self.port = self._listener.getsockname()[1]
         return self.host, self.port
 
-    def _accept_one(self, deadline: float, pool_deadline: float
-                    ) -> tuple[str, FramedChannel, dict]:
-        """Accept, (optionally) TLS-wrap, and read one member's hello.
-
-        *deadline* bounds the wait for a connection attempt (spawn
-        slices it so dead workers get reaped between attempts);
-        *pool_deadline* is the full membership budget an accepted
-        connection's TLS handshake and hello may use — a slow but
-        healthy multi-host dialer must not be cut off by the reaping
-        slice.
-        """
-        assert self._listener is not None
-        last_error = "no connection attempt"
-        while _monotonic() < deadline:
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError as error:  # pragma: no cover - listener died
-                raise CommunityError(f"listener failed: {error}") from error
-            _disable_nagle(conn)
-            try:
-                if self.certfile is not None:
-                    if self._server_context is None:
-                        self._server_context = _server_tls_context(
-                            self.certfile, self.keyfile)
-                    conn.settimeout(
-                        max(0.1, pool_deadline - _monotonic()))
-                    conn = self._server_context.wrap_socket(
-                        conn, server_side=True)
-                channel = FramedChannel(conn,
-                                        frame_deadline=self.frame_deadline)
-                hello = wire.decode(channel.recv_frame(
-                    timeout=max(0.1, pool_deadline - _monotonic())))
-                if hello.get("op") != "hello" or \
-                        not isinstance(hello.get("name"), str):
-                    raise CommunityError(f"bad hello: {hello!r}")
-            except (OSError, ChannelError, wire.WireError,
-                    CommunityError) as error:
-                last_error = f"{type(error).__name__}: {error}"
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                continue
-            return hello["name"], channel, hello
-        raise CommunityError(f"member handshake failed: {last_error}")
+    def _launch(self, name: str):
+        """Start a local worker process that dials the listener as
+        *name*; returns its process handle."""
+        cafile = self.certfile
+        if name in self._plaintext_members:
+            cafile = None
+        process = self._context.Process(
+            target=_socket_worker_main,
+            args=(self.host, self.port, name, self._binary, self._config,
+                  cafile, self.frame_deadline),
+            name=f"community-{name}", daemon=True)
+        process.start()
+        return process
 
     def spawn(self, binary: Binary, config: EnvironmentConfig | None,
               names: list[str]) -> None:
+        """Create one placeholder member per name, launch the workers
+        (none in ``accept_external`` mode), then run the accept loop
+        until no placeholder is left or ``spawn_timeout`` passes.  A
+        worker that exits before its hello (failed TLS, crashed on
+        startup) and a placeholder nobody claimed are dropped with
+        reason ``handshake``."""
         if self.members:
             raise CommunityError("transport already has a worker pool")
         self._binary = binary
         self._config = config
         self.listen()
-        # External members rename placeholder slots to their announced
-        # hello names; work on a copy so the caller's list is untouched.
-        names = list(names)
-        processes: dict[str, object] = {}
+        self._placeholders = [ChannelMember(self, name, binary)
+                              for name in names]
+        self.members.extend(self._placeholders)
         if not self.accept_external:
-            for name in names:
-                cafile = self.certfile
-                if name in self._plaintext_members:
-                    cafile = None
-                process = self._context.Process(
-                    target=_socket_worker_main,
-                    args=(self.host, self.port, name, binary, config,
-                          cafile, self.frame_deadline),
-                    name=f"community-{name}", daemon=True)
-                process.start()
-                processes[name] = process
+            for member in self.members:
+                member.process = self._launch(member.name)
         deadline = _monotonic() + self.spawn_timeout
-        channels: dict[str, FramedChannel] = {}
-        expected = set(names)
-        failures: dict[str, str] = {}
-        while expected - set(channels) and _monotonic() < deadline:
-            # Reap spawned workers that died before completing their
-            # handshake (failed TLS, crashed on startup): waiting out
-            # the full spawn timeout for them would stall the pool.
-            for name, process in processes.items():
-                if name not in channels and name not in failures and \
-                        not process.is_alive():
-                    failures[name] = (f"worker exited before handshake "
-                                      f"(exit code {process.exitcode})")
-            if not self.accept_external and \
-                    expected - set(channels) - set(failures) == set():
-                break
-            try:
-                name, channel, hello = self._accept_one(
-                    min(deadline, _monotonic() + 1.0), deadline)
-            except CommunityError:
-                # Keep waiting until the pool deadline; individual
-                # handshake failures were recorded by the accept loop.
-                if _monotonic() >= deadline:
-                    break
-                continue
-            if self.accept_external and name not in expected:
-                # External members name themselves; adopt the hello
-                # name in place of the next unclaimed slot.
-                unclaimed = [slot for slot in names
-                             if slot not in channels
-                             and slot not in failures]
-                if not unclaimed:
-                    channel.close()
-                    continue
-                placeholder = unclaimed[0]
-                names[names.index(placeholder)] = name
-                expected.discard(placeholder)
-                expected.add(name)
-            if name in channels:
-                channel.close()
-                continue
-            channels[name] = channel
-            # Log the hello only for adopted connections: a rejected
-            # dialer's channel never joins wire_bytes_total, so logging
-            # its frame would break the to-the-byte reconciliation.
-            self.deliver(Message(
-                sender=name, recipient="server", kind="hello",
-                payload=hello, frame_size=channel.received_bytes))
-        for name in names:
-            channel = channels.get(name)
-            member = ChannelMember(self, name, binary, channel,
-                                   process=processes.get(name))
-            self.members.append(member)
-            if channel is None:
-                detail = failures.get(
-                    name, "no connection within the spawn timeout")
-                self.dropped.append(DroppedMember(
-                    name=name, reason="handshake", op="hello",
-                    detail=detail))
-                member.state = "dropped"
-                member._terminate()
+        while self._placeholders and _monotonic() < deadline:
+            for member in list(self._placeholders):
+                process = member.process
+                if process is not None and not process.is_alive():
+                    self._placeholders.remove(member)
+                    member._drop("handshake", "hello",
+                                 f"worker exited before handshake "
+                                 f"(exit code {process.exitcode})")
+            # One-second slices, so dead workers are reaped between
+            # accepts instead of stalling the pool until the timeout.
+            self.poll_rejoins(
+                budget=min(1.0, max(0.0, deadline - _monotonic())))
+        for member in self._placeholders:
+            member._drop("handshake", "hello",
+                         "no connection within the spawn timeout")
+        self._placeholders = []
         if not any(member.alive for member in self.members):
             self.close()
             raise CommunityError(
                 "no member completed the socket handshake")
-        self.start_heartbeat()
 
     def poll_rejoins(self, budget: float = 0.0) -> list[ChannelMember]:
-        """Admit reconnecting or newly arriving members.
+        """The accept loop, the only code that accepts on the listener.
 
-        Non-blocking by default (*budget* seconds of accept patience).
-        A hello whose name matches a dropped member revives that member
-        in place; an unknown name is admitted as a brand-new member
-        only in ``accept_external`` mode; a duplicate of a live member
-        is refused.  Every admission replays the net patch-ledger
-        deltas since the hello's acknowledged epoch before the member
-        returns to dispatch (state ``rejoining → active``).  Returns
-        the members (re-)admitted by this call.
+        Waits up to *budget* seconds (non-blocking by default) for a
+        first admission, then takes only the connections already
+        pending; :meth:`_accept` admits or refuses each one.  Returns
+        the members admitted by this call.
         """
         if self._listener is None or self._closed:
             return []
         admitted: list[ChannelMember] = []
         deadline = _monotonic() + budget
-        with self._channel_lock:
-            while True:
-                try:
-                    readable, _, _ = select.select(
-                        [self._listener], [], [],
-                        max(0.0, deadline - _monotonic()))
-                except (OSError, ValueError):  # pragma: no cover
-                    break
-                if not readable:
-                    break
-                try:
-                    name, channel, hello = self._accept_one(
-                        _monotonic() + 1.0,
-                        _monotonic() + max(budget, self.frame_deadline))
-                except CommunityError:
-                    continue
-                try:
-                    _name, epoch = wire.hello_from_dict(hello)
-                except wire.WireError:
-                    channel.close()
-                    continue
-                member = next((peer for peer in self.members
-                               if peer.name == name), None)
-                if member is not None and member.alive:
-                    channel.close()
-                    continue
-                if member is None:
-                    if not self.accept_external or self._binary is None:
-                        channel.close()
-                        continue
-                    member = ChannelMember(self, name, self._binary, None)
-                    self.members.append(member)
-                member.adopt_channel(
-                    channel, process=self._pending_respawns.pop(name, None))
-                self.deliver(Message(
-                    sender=name, recipient="server", kind="hello",
-                    payload=hello, frame_size=channel.received_bytes))
-                try:
-                    self._catch_up(member, epoch)
-                except MemberFailure:
-                    continue
+        while True:
+            wait = 0.0 if admitted else max(0.0, deadline - _monotonic())
+            try:
+                readable, _, _ = select.select([self._listener], [], [],
+                                               wait)
+            except (OSError, ValueError):  # pragma: no cover
+                break
+            if not readable:
+                break
+            member = self._accept()
+            if member is not None:
                 admitted.append(member)
-            if admitted:
-                self._compact_ledger()
         return admitted
+
+    def _accept(self) -> ChannelMember | None:
+        """Take one connection off the listener; returns the member it
+        admitted, or None when it was refused.
+
+        The connection gets one frame deadline for its (optional) TLS
+        handshake and its hello.  The hello's name decides: a member
+        that is not alive is admitted; an unknown name claims the first
+        spawn placeholder, or joins as a new member in
+        ``accept_external`` mode after spawn; a live member's name, or
+        an unknown one with nowhere to go, is refused.  Admission
+        replays the net ledger deltas since the hello's epoch
+        (:meth:`ChannelTransport.admit`).
+        """
+        assert self._listener is not None
+        try:
+            conn, _addr = self._listener.accept()
+        except socket.timeout:
+            return None
+        except OSError as error:  # pragma: no cover - listener died
+            raise CommunityError(f"listener failed: {error}") from error
+        _disable_nagle(conn)
+        try:
+            if self.certfile is not None:
+                if self._server_context is None:
+                    self._server_context = _server_tls_context(
+                        self.certfile, self.keyfile)
+                conn.settimeout(self.frame_deadline)
+                conn = self._server_context.wrap_socket(
+                    conn, server_side=True)
+            channel = FramedChannel(conn, frame_deadline=self.frame_deadline)
+            hello = wire.decode(
+                channel.recv_frame(timeout=self.frame_deadline))
+            name, epoch = wire.hello_from_dict(hello)
+        except (OSError, ChannelError, wire.WireError):
+            conn.close()
+            return None
+        member = next((peer for peer in self.members if peer.name == name),
+                      None)
+        if member is None and self.accept_external:
+            if self._placeholders:
+                member = self._placeholders[0]
+                member.name = name
+            elif self._binary is not None:
+                member = ChannelMember(self, name, self._binary)
+        if member is None or member.alive:
+            channel.close()
+            return None
+        if member in self._placeholders:
+            self._placeholders.remove(member)
+        # Log the hello only for adopted connections: a refused
+        # dialer's channel never joins wire_bytes_total, so logging
+        # its frame would break the to-the-byte reconciliation.
+        self.deliver(Message(
+            sender=name, recipient="server", kind="hello",
+            payload=hello, frame_size=channel.received_bytes))
+        # A worker launched for this member waits on its handle; a
+        # casualty's reaped process is not this connection's.
+        process = member.process
+        if process is not None and not process.is_alive():
+            process = None
+        if not self.admit(member, channel, process, epoch):
+            return None
+        return member
 
     def respawn(self, member: ChannelMember,
                 timeout: float | None = None) -> bool:
-        """Relaunch a dropped loopback worker under its old name.
+        """Relaunch a dropped spawned worker under its old name.
 
         Only spawned (loopback) members can be relaunched — externally
-        started members own their lifecycle and rejoin on their own via
-        :meth:`poll_rejoins`.  The fresh process dials the listener and
-        is admitted through the ordinary rejoin path (hello epoch 0,
-        full live-set catch-up).
+        started members own their lifecycle and rejoin on their own.
+        The fresh process dials the listener and the accept loop
+        admits it (hello epoch 0, full live-set catch-up).
         """
         if self.accept_external or self._binary is None or \
                 self._listener is None or self._closed:
             return False
         if member.alive or member not in self.members:
             return member.alive
-        cafile = self.certfile
-        if member.name in self._plaintext_members:
-            cafile = None
-        process = self._context.Process(
-            target=_socket_worker_main,
-            args=(self.host, self.port, member.name, self._binary,
-                  self._config, cafile, self.frame_deadline),
-            name=f"community-{member.name}", daemon=True)
-        process.start()
-        self._pending_respawns[member.name] = process
+        member.process = self._launch(member.name)
         budget = self.spawn_timeout if timeout is None else timeout
         deadline = _monotonic() + budget
-        while not member.alive and _monotonic() < deadline:
-            self.poll_rejoins(budget=0.2)
-            if not process.is_alive() and not member.alive:
-                break
-        leftover = self._pending_respawns.pop(member.name, None)
-        if leftover is not None and not member.alive:
+        while not member.alive and member.process.is_alive() and \
+                _monotonic() < deadline:
+            self.poll_rejoins(
+                budget=min(0.2, max(0.0, deadline - _monotonic())))
+        if not member.alive:
             # The fresh worker never completed its handshake; reap it.
-            try:
-                leftover.terminate()
-                leftover.join(timeout=5)
-            except (OSError, ValueError):  # pragma: no cover - teardown
-                pass
+            member._terminate()
         return member.alive
 
     def close(self) -> None:

@@ -28,6 +28,13 @@ recorded in :attr:`ProcessTransport.dropped`, and excluded from further
 dispatch; the manager re-shards its outstanding work across the
 survivors.  Workers are daemonic and :meth:`ProcessTransport.close` is
 idempotent, so no code path leaves orphan processes behind.
+
+Every worker joins through
+:meth:`~repro.community.remote.ChannelTransport.admit`: spawn admits
+each fresh worker at epoch 0 (on an empty ledger, with no catch-up),
+and :meth:`ProcessTransport.respawn` admits a relaunched one at epoch
+0, which replays the live patch set.  Liveness probing runs only at the
+manager's wave edges; the transport starts no thread.
 """
 
 from __future__ import annotations
@@ -102,10 +109,8 @@ class ProcessTransport(ChannelTransport):
         self._binary = binary
         self._config = config
         for name in names:
-            channel, process = self._launch(name)
-            self.members.append(ChannelMember(
-                self, name, binary, channel, process=process))
-        self.start_heartbeat()
+            self.admit(ChannelMember(self, name, binary),
+                       *self._launch(name))
 
     def respawn(self, member: ChannelMember,
                 timeout: float | None = None) -> bool:
@@ -120,11 +125,4 @@ class ProcessTransport(ChannelTransport):
             return False
         if member.alive:
             return True
-        channel, process = self._launch(member.name)
-        member.adopt_channel(channel, process=process)
-        try:
-            self._catch_up(member, 0)
-        except CommunityError:
-            return False
-        self._compact_ledger()
-        return True
+        return self.admit(member, *self._launch(member.name))
