@@ -47,7 +47,7 @@ from repro.community.strategies import (
     partition_random,
     partition_round_robin,
 )
-from repro.core.clearview import ClearView, ClearViewConfig, SessionState
+from repro.core.clearview import ClearView, ClearViewConfig
 from repro.core.repair import build_repair_patch
 from repro.core.reports import patch_health
 from repro.dynamo.execution import (
@@ -696,9 +696,14 @@ class CommunityManager:
 
         Each candidate is vetted first (``ClearView._veto``): a
         statically-unsafe one is vetoed before the wave is formed, at
-        zero member kills and zero rounds.  The best-ranked success of a
-        wave is deployed community-wide through the core's own install
-        path (``ClearView._deploy``).
+        zero member kills and zero rounds.  The core judges each trial
+        (``RepairEvaluator.judge_wave``, which blames the candidate for
+        any crash) and settles the session once (``ClearView._settle``):
+        a wave's best-ranked success is deployed community-wide
+        (PATCHED); with none, the best-ranked candidate left goes back
+        under test (EVALUATING), or the session is EXHAUSTED.  Taking
+        over from the sequential evaluator withdraws its current repair
+        without charging it.
 
         Toxic-candidate containment: a member that fails mid-trial is
         dropped and its candidate returns to the front of the queue, to
@@ -725,6 +730,7 @@ class CommunityManager:
         queue = [scored for scored in session.evaluator.ranking()
                  if not scored.blacklisted
                  and not clearview._veto(session, scored)]
+        winner = None
 
         def charge_kill(member, scored) -> bool:
             """Attribute a casualty; returns True if the candidate
@@ -743,7 +749,7 @@ class CommunityManager:
                     self.revived.append(name)
             return False
 
-        while queue:
+        while queue and winner is None:
             self._refresh_membership()
             self._require_quorum("parallel repair evaluation")
             members = self.environment.alive_members()
@@ -768,7 +774,7 @@ class CommunityManager:
                 wave.append((choice, scored))
             queue = deferred
             rounds += 1
-            trials = []
+            started = []
             retry = []   # casualties to requeue (candidate not charged)
             for member, scored in wave:
                 patches = build_repair_patch(
@@ -780,32 +786,20 @@ class CommunityManager:
                     if charge_kill(member, scored):
                         retry.append(scored)
                     continue
-                trials.append((member, scored))
-            winner = None
-            for member, scored in trials:
+                started.append((member, scored))
+            trials = []
+            for member, scored in started:
                 try:
-                    result = member.finish_evaluate_candidate()
+                    trials.append(
+                        (scored, member.finish_evaluate_candidate()))
                 except MemberFailure:
                     if charge_kill(member, scored):
                         retry.append(scored)
-                    continue
-                success = (result.outcome is Outcome.COMPLETED or
-                           (result.outcome is Outcome.FAILURE and
-                            result.failure_pc != failure_pc))
-                if success:
-                    session.evaluator.record_success(scored)
-                    if winner is None:
-                        # Waves iterate best-ranked-first; deploy the
-                        # best success, as the sequential evaluator
-                        # would (§2.6 ranking).
-                        winner = scored
-                else:
-                    session.evaluator.record_failure(scored)
+            # Waves run best-ranked first, so the winner is the best
+            # success, as the sequential evaluator would pick (§2.6).
+            winner = session.evaluator.judge_wave(failure_pc, trials)
             # Requeue casualties in their original ranking (wave) order.
             queue[:0] = [scored for _, scored in wave
                          if any(scored is victim for victim in retry)]
-            if winner is not None:
-                clearview._deploy(session, winner)
-                session.state = SessionState.PATCHED
-                return rounds
+        clearview._settle(session, winner)
         return rounds

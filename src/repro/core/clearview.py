@@ -14,6 +14,12 @@ Drives the Figure 1 pipeline for one protected application instance:
    next candidate; successes raise its score; proven patches stay under
    continuous evaluation and can be discarded later.
 
+The §2.6 rules are written once.  :func:`~repro.core.evaluation.verdict`
+says what one run says about a repair, and :meth:`ClearView._settle` is
+the only code that picks, installs or withdraws a session's repair once
+checking ends, sets its state, and counts revocations.  ``run`` and the
+community's parallel evaluator both end in these two.
+
 Presentation accounting matches Table 1: the minimum number of attack
 presentations to a successful patch is four (detect, two check runs, one
 successful repair run), and each notification triggers exactly one manager
@@ -44,6 +50,7 @@ from repro.core.evaluation import (
     REVOCATION_BLACKLIST,
     RepairEvaluator,
     ScoredRepair,
+    verdict,
 )
 from repro.core.repair import (
     CandidateRepair,
@@ -137,6 +144,12 @@ class FailureSession:
         return self.state is SessionState.PATCHED
 
 
+def _fired(session: FailureSession) -> int:
+    """Enforcement firings of *session*'s current repair patches."""
+    return sum(getattr(patch, "fired", 0)
+               for patch in session.current_patches)
+
+
 class ClearView:
     """ClearView protecting one managed application instance.
 
@@ -171,122 +184,66 @@ class ClearView:
     # ------------------------------------------------------------------
 
     def run(self, payload: bytes) -> RunResult:
-        """Run the protected application once and react to the outcome."""
-        evaluating_at_start = {
-            pc: session.current_repair
-            for pc, session in self.sessions.items()
-            if session.state in (SessionState.EVALUATING,
-                                 SessionState.PATCHED)}
-        checking_at_start = {pc for pc, session in self.sessions.items()
-                             if session.state is SessionState.CHECKING}
-        fired_at_start = self._fired_counts()
+        """Run the protected application once and react to the outcome.
+
+        Every repair under test gets the run's :func:`verdict`.  A crash
+        is blamed causally, on the repairs whose enforcement fired during
+        the run; if none fired, conservatively on the repairs still
+        EVALUATING, leaving proven ones alone.  A FAILURE then counts
+        against its own location's session, or opens one unless the run
+        proved an unproven repair (Table 1's accounting, above)."""
+        under_test = [session for session in self.sessions.values()
+                      if session.current_repair is not None]
+        fired_at_start = [_fired(session) for session in under_test]
 
         started = time.perf_counter()
         result = self.environment.run(payload)
         elapsed = time.perf_counter() - started
-
         self._fold_observations(result)
-        self._attribute_check_time(result, checking_at_start, elapsed)
 
-        if result.outcome is Outcome.COMPLETED:
-            self._on_completed(evaluating_at_start, elapsed)
-        elif result.outcome is Outcome.FAILURE:
-            assert result.failure_pc is not None
-            self._on_failure(result, evaluating_at_start, elapsed)
-        else:  # CRASH (or COMPROMISED, impossible under Memory Firewall)
-            self._on_crash(evaluating_at_start, elapsed, fired_at_start)
-        return result
-
-    def _fired_counts(self) -> dict[int, int]:
-        """Per-session sum of enforcement firings of the current repair's
-        patches (used to attribute crashes causally)."""
-        counts: dict[int, int] = {}
-        for pc, session in self.sessions.items():
-            counts[pc] = sum(getattr(patch, "fired", 0)
-                             for patch in session.current_patches)
-        return counts
-
-    # ------------------------------------------------------------------
-    # Outcome handling
-    # ------------------------------------------------------------------
-
-    def _on_completed(self, evaluating: dict[int, ScoredRepair | None],
-                      elapsed: float) -> None:
-        for pc, repair in evaluating.items():
-            session = self.sessions[pc]
-            if repair is None or session.current_repair is not repair:
-                continue
-            self._repair_succeeded(session, elapsed)
-
-    def _on_failure(self, result: RunResult,
-                    evaluating: dict[int, ScoredRepair | None],
-                    elapsed: float) -> None:
-        location = result.failure_pc
-        assert location is not None
+        acted = [_fired(session) > before
+                 for session, before in zip(under_test, fired_at_start)]
         consumed = False
-
-        # Evaluation feedback for sessions whose repair was under test.
-        for pc, repair in evaluating.items():
-            session = self.sessions[pc]
-            if repair is None or session.current_repair is not repair:
+        for session, fired in zip(under_test, acted):
+            blamed = fired if any(acted) else \
+                session.state is SessionState.EVALUATING
+            passed = verdict(result, session.failure_pc, blamed)
+            if passed is None:
                 continue
-            if pc == location:
-                self._repair_failed(session, elapsed)
+            repair = session.current_repair
+            assert session.evaluator is not None and repair is not None
+            if passed:
+                consumed = consumed or \
+                    session.state is SessionState.EVALUATING
+                if repair.successes == 0:
+                    session.times.successful_repair_run += elapsed
+                session.evaluator.record_success(repair)
+                self.events.append(f"repair-succeeded {session.failure_id}")
+                self._settle(session, winner=repair)
             else:
-                # The failure belongs to a different location: this
-                # session's repair survived its own failure. An unproven
-                # repair becoming proven consumes the notification.
-                if session.state is SessionState.EVALUATING:
-                    consumed = True
-                self._repair_succeeded(session, elapsed)
+                session.evaluator.record_failure(repair)
+                session.times.unsuccessful_repair_runs += elapsed
+                session.unsuccessful_runs += 1
+                self.events.append(f"repair-failed {session.failure_id}: "
+                                   f"{repair.candidate.description}")
+                self._settle(session)
 
-        session = self.sessions.get(location)
-        if session is None:
-            if not consumed:
-                self._open_session(result, elapsed)
-            return
-
-        session.presentations += 1
-        if session.state is SessionState.CHECKING:
-            session.check_failures += 1
-            if session.check_failures >= \
-                    self.config.check_failures_required:
-                self._finish_checking(session, result)
-        elif session.state in (SessionState.EVALUATING,
-                               SessionState.PATCHED):
-            # Handled above via evaluation feedback (repair rotation).
-            pass
-        # EXHAUSTED sessions: the monitor keeps blocking the attack;
-        # nothing more ClearView can do with the current model.
-
-    def _on_crash(self, evaluating: dict[int, ScoredRepair | None],
-                  elapsed: float,
-                  fired_at_start: dict[int, int] | None = None) -> None:
-        # §2.6: the application crashed after repair. Blame is causal —
-        # only repairs whose enforcement actually *fired* during the
-        # crashed run are demoted. (Blaming every applied patch lets one
-        # exploit's bad candidate repair poison other failures' proven
-        # patches, an instability the paper's per-failure bookkeeping
-        # rules out.) If no repair fired, the crash cannot have been
-        # caused by an enforcement and every unproven repair is blamed
-        # conservatively.
-        fired_now = self._fired_counts()
-        any_fired = fired_at_start is not None and any(
-            fired_now.get(pc, 0) > fired_at_start.get(pc, 0)
-            for pc in fired_now)
-        for pc, repair in evaluating.items():
-            session = self.sessions[pc]
-            if repair is None or session.current_repair is not repair:
-                continue
-            if fired_at_start is None or not any_fired:
-                # Nothing fired: conservatively blame repairs still
-                # under evaluation, leave proven patches alone.
-                implicated = session.state is SessionState.EVALUATING
-            else:
-                implicated = (fired_now.get(pc, 0) >
-                              fired_at_start.get(pc, 0))
-            if implicated:
-                self._repair_failed(session, elapsed)
+        if result.outcome is Outcome.FAILURE:
+            session = self.sessions.get(result.failure_pc)
+            if session is None:
+                if not consumed:
+                    self._open_session(result, elapsed)
+                return result
+            session.presentations += 1
+            if session.state is SessionState.CHECKING:
+                session.times.check_runs += elapsed
+                session.check_failures += 1
+                if session.check_failures >= \
+                        self.config.check_failures_required:
+                    self._finish_checking(session, result)
+            # Otherwise the repair under test was judged above, or the
+            # session is EXHAUSTED: the monitor keeps blocking the attack.
+        return result
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -335,8 +292,8 @@ class ClearView:
 
     def _finish_checking(self, session: FailureSession,
                          result: RunResult) -> None:
-        """Second check failure: remove checks, classify, generate and
-        apply the first repair (§2.4.3, §2.5)."""
+        """Second check failure: remove checks, classify, generate the
+        candidate repairs and settle on the first (§2.4.3, §2.5)."""
         for patch in session.check_patches:
             self.environment.remove_patch(patch)
         session.check_patches = []
@@ -347,8 +304,8 @@ class ClearView:
         selected, rank = select_for_repair(session.classification)
         session.selected_rank = rank
         if not selected:
-            session.state = SessionState.EXHAUSTED
             self.events.append(f"no-correlated {session.failure_id}")
+            self._settle(session)
             return
 
         build_start = time.perf_counter()
@@ -365,13 +322,11 @@ class ClearView:
         session.repair_kind_counts = _kind_counts(selected)
         session.times.build_repairs += time.perf_counter() - build_start
 
-        if not candidates:
-            session.state = SessionState.EXHAUSTED
+        if candidates:
+            session.evaluator = RepairEvaluator(candidates)
+        else:
             self.events.append(f"no-repairs {session.failure_id}")
-            return
-        session.evaluator = RepairEvaluator(candidates)
-        self._apply_best_repair(session)
-        session.state = SessionState.EVALUATING
+        self._settle(session)
 
     @property
     def vetter(self):
@@ -419,25 +374,55 @@ class ClearView:
             f"[{', '.join(scored.veto_rules)}]")
         return True
 
-    def _apply_best_repair(self, session: FailureSession) -> None:
-        assert session.evaluator is not None
-        best = session.evaluator.best()
+    def _settle(self, session: FailureSession,
+                winner: ScoredRepair | None = None) -> None:
+        """Settle *session* on a repair once checking ends or a verdict
+        is in (§2.6): the only writer of its state from then on.
+
+        A *winner*, a repair a run has just passed, is deployed and the
+        session is PATCHED.  Otherwise the best-ranked candidate that
+        survives vetting is deployed and the session is EVALUATING; with
+        none left, everything is withdrawn and the session is EXHAUSTED.
+        A proven repair that has just failed and is withdrawn here is
+        revoked, and blacklisted once revoked REVOCATION_BLACKLIST times,
+        so the community never flaps between two half-working repairs.
+        A failed repair that still ranks best stays installed and is not
+        revoked."""
+        if winner is not None:
+            self._deploy(session, winner)
+            session.state = SessionState.PATCHED
+            return
+        failed = session.current_repair \
+            if session.state is SessionState.PATCHED else None
+        evaluator = session.evaluator
+        best = evaluator.best() if evaluator is not None else None
         while best is not None and self._veto(session, best):
-            best = session.evaluator.best()  # the next-best candidate
+            best = evaluator.best()  # the next-best candidate
         if best is None:
-            # Every candidate is blacklisted (revoked twice, toxic, or
-            # vetoed): the session is out of viable repairs for this
-            # model.
+            # Checking found nothing to try, or every candidate is
+            # blacklisted (revoked twice, toxic, or vetoed): the session
+            # is out of viable repairs for this model.
             self._remove_current_patches(session)
             session.state = SessionState.EXHAUSTED
-            self.events.append(f"repairs-exhausted {session.failure_id}")
+            if evaluator is not None:
+                self.events.append(f"repairs-exhausted {session.failure_id}")
+        else:
+            self._deploy(session, best)
+            session.state = SessionState.EVALUATING
+        if failed is None or session.current_repair is failed:
             return
-        self._deploy(session, best)
+        failed.revocations += 1
+        key = failed.candidate.description
+        self.events.append(f"repair-revoked {session.failure_id}: {key}")
+        if failed.revocations >= REVOCATION_BLACKLIST:
+            evaluator.blacklist(failed)
+            self.events.append(
+                f"repair-blacklisted {session.failure_id}: {key}")
 
     def _deploy(self, session: FailureSession, scored: ScoredRepair) -> None:
         """Make *scored* the session's current repair, installed on the
         environment (every member, for a community)."""
-        if session.current_repair is scored and session.current_patches:
+        if session.current_repair is scored:
             return  # already applied
         install_start = time.perf_counter()
         self._remove_current_patches(session)
@@ -467,45 +452,6 @@ class ClearView:
         session.current_patches = []
         session.current_repair = None
 
-    def _repair_succeeded(self, session: FailureSession,
-                          elapsed: float) -> None:
-        assert session.evaluator is not None
-        assert session.current_repair is not None
-        first_success = session.current_repair.successes == 0
-        session.evaluator.record_success(session.current_repair)
-        if first_success:
-            session.times.successful_repair_run += elapsed
-        session.state = SessionState.PATCHED
-        self.events.append(f"repair-succeeded {session.failure_id}")
-
-    def _repair_failed(self, session: FailureSession,
-                       elapsed: float) -> None:
-        assert session.evaluator is not None
-        assert session.current_repair is not None
-        scored = session.current_repair
-        key = scored.candidate.description
-        was_deployed = session.state is SessionState.PATCHED
-        session.evaluator.record_failure(scored)
-        session.times.unsuccessful_repair_runs += elapsed
-        session.unsuccessful_runs += 1
-        self.events.append(f"repair-failed {session.failure_id}: {key}")
-        session.state = SessionState.EVALUATING
-        self._apply_best_repair(session)
-        if was_deployed and session.current_repair is not scored:
-            # The rotation withdrew a *deployed* repair from every
-            # member: that withdrawal is the revocation.  A failed
-            # repair that still ranks best stays installed and is not
-            # revoked.  Flap damping: revoked twice → blacklisted, so
-            # the community never oscillates between two half-working
-            # repairs.
-            scored.revocations += 1
-            self.events.append(f"repair-revoked {session.failure_id}: "
-                               f"{key}")
-            if scored.revocations >= REVOCATION_BLACKLIST:
-                session.evaluator.blacklist(scored)
-                self.events.append(
-                    f"repair-blacklisted {session.failure_id}: {key}")
-
     # ------------------------------------------------------------------
     # Observation folding
     # ------------------------------------------------------------------
@@ -530,24 +476,3 @@ class ClearView:
                         1 for ok in sequence if not ok)
                     session.check_executions += len(sequence)
                     history.add_run(sequence, ended_in_failure)
-
-    def _attribute_check_time(self, result: RunResult,
-                              checking: set[int], elapsed: float) -> None:
-        if result.outcome is not Outcome.FAILURE:
-            return
-        if result.failure_pc in checking:
-            self.sessions[result.failure_pc].times.check_runs += elapsed
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def session_at(self, pc: int) -> FailureSession | None:
-        return self.sessions.get(pc)
-
-    def patched_sessions(self) -> list[FailureSession]:
-        return [session for session in self.sessions.values()
-                if session.patched]
-
-    def applied_patch_count(self) -> int:
-        return len(self.environment.patches)

@@ -1,11 +1,13 @@
 """Candidate repair evaluation (§2.6).
 
-ClearView continuously observes patched applications.  A repair succeeds
-on a run when the application neither crashes nor re-detects the repair's
-failure; it fails when the failure recurs or the application crashes.
-Scores follow the paper's formula ``(s - f) + b`` where ``b`` is a bonus
-granted while a repair has never failed, so the policy hunts for a repair
-that *always* works.  Ties break by the §2.6 static priority: earlier
+ClearView continuously observes patched applications, and
+:func:`verdict` judges a repair by each run that follows it: the run
+passes it when the application completes or a monitor detects some
+other failure, and fails it when its own failure recurs or, if the
+repair is blamed for it, when the application crashes.  Scores follow
+the paper's formula ``(s - f) + b`` where ``b`` is a bonus granted
+while a repair has never failed, so the policy hunts for a repair that
+*always* works.  Ties break by the §2.6 static priority: earlier
 instructions first (lower stack distance, then lower address), then
 state-only repairs before control-flow repairs.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.repair import CandidateRepair
+from repro.dynamo.execution import Outcome, RunResult
 
 #: The never-failed bonus ``b``. Any positive value implements the paper's
 #: policy; 1 keeps scores small and readable.
@@ -28,6 +31,23 @@ REVOCATION_BLACKLIST = 2
 #: Toxic containment: a candidate that kills this many *distinct*
 #: members during parallel evaluation is ejected from the pool.
 TOXIC_KILLS = 2
+
+
+def verdict(result: RunResult, failure_pc: int,
+            blamed: bool) -> bool | None:
+    """What *result* says about a repair for the failure at
+    *failure_pc*: True passes it, False fails it, None says nothing.
+
+    A completed run passes the repair.  A failure at the repair's own pc
+    fails it; a failure anywhere else is a run it survived, so passes
+    it.  A crash (or a compromise) fails the repair when it is *blamed*
+    for it and otherwise gives no verdict.
+    """
+    if result.outcome is Outcome.COMPLETED:
+        return True
+    if result.outcome is Outcome.FAILURE:
+        return result.failure_pc != failure_pc
+    return False if blamed else None
 
 
 @dataclass
@@ -90,7 +110,6 @@ class RepairEvaluator:
     def __init__(self, candidates: list[CandidateRepair]):
         self.scored = [ScoredRepair(candidate=candidate)
                        for candidate in candidates]
-        self.evaluations = 0
 
     def __len__(self) -> int:
         return len(self.scored)
@@ -114,11 +133,9 @@ class RepairEvaluator:
 
     def record_success(self, repair: ScoredRepair) -> None:
         repair.successes += 1
-        self.evaluations += 1
 
     def record_failure(self, repair: ScoredRepair) -> None:
         repair.failures += 1
-        self.evaluations += 1
 
     def record_kill(self, repair: ScoredRepair, member: str) -> bool:
         """Charge *repair* with a community member that died evaluating
@@ -134,11 +151,23 @@ class RepairEvaluator:
         self.blacklist(repair)
         return True
 
+    def judge_wave(self, failure_pc: int,
+                   trials: list[tuple[ScoredRepair, RunResult]]
+                   ) -> ScoredRepair | None:
+        """Record the verdicts of one parallel evaluation wave (§3.1),
+        whose *trials* come best-ranked first, and return its winner:
+        the first repair that passed.  Each trial ran its candidate
+        alone, so the candidate is blamed for whatever happened."""
+        winner = None
+        for repair, result in trials:
+            if verdict(result, failure_pc, blamed=True):
+                self.record_success(repair)
+                if winner is None:
+                    winner = repair
+            else:
+                self.record_failure(repair)
+        return winner
+
     def ranking(self) -> list[ScoredRepair]:
         """All repairs, best first."""
         return sorted(self.scored, key=ScoredRepair.sort_key)
-
-    def counts(self) -> tuple[int, int]:
-        """(total successes, total failures) across all repairs."""
-        return (sum(repair.successes for repair in self.scored),
-                sum(repair.failures for repair in self.scored))

@@ -20,7 +20,7 @@ import pytest
 
 from repro.analysis.vetting import VetReport
 from repro.apps import learning_pages
-from repro.community import CommunityManager
+from repro.community import ChannelMember, CommunityManager
 from repro.dynamo import EnvironmentConfig, Outcome, RunResult
 from repro.redteam import (
     adversarial_candidates,
@@ -95,6 +95,14 @@ def drive_to_evaluation(manager, defect="mm-reuse-1"):
         failure_pc = result.failure_pc or failure_pc
     assert failure_pc is not None
     return failure_pc, attack.page()
+
+
+def scripted_attack(manager, monkeypatch, page, result) -> RunResult:
+    """One attack presentation whose community run returns *result*."""
+    with monkeypatch.context() as scripted:
+        scripted.setattr(manager.environment, "run",
+                         lambda payload: result)
+        return manager.attack(page)
 
 
 class TestChaosConvergence:
@@ -263,7 +271,8 @@ class TestRevocationWave:
         for scored in ranking[demoted_at + 1:]:
             assert not scored.never_failed
 
-    def test_twice_revoked_repair_is_blacklisted(self, make_manager):
+    def test_twice_revoked_repair_is_blacklisted(self, make_manager,
+                                                 monkeypatch):
         """Flap damping: the second revocation blacklists the repair for
         the session — it is never selected again, even if its score
         would win."""
@@ -278,16 +287,30 @@ class TestRevocationWave:
         assert session.state.value == "patched"
         victim = session.current_repair
         key = victim.candidate.description
+        failing = RunResult(outcome=Outcome.FAILURE, output=[], steps=0,
+                            failure_pc=failure_pc, monitor=session.monitor)
+        completed = RunResult(outcome=Outcome.COMPLETED, output=[], steps=0)
 
-        from repro.core.clearview import SessionState
-        clearview._repair_failed(session, 0.0)          # revocation 1
+        scripted_attack(manager, monkeypatch, page, failing)  # revocation 1
         assert victim.revocations == 1 and not victim.blacklisted
-        # The community flaps back to the same repair (simulating every
-        # alternative failing); it turns bad again.
-        clearview._remove_current_patches(session)
-        session.current_repair = victim
-        session.state = SessionState.PATCHED
-        clearview._repair_failed(session, 0.0)          # revocation 2
+        # The community flaps back to the same repair: every alternative
+        # fails in turn, and the victim, proven once, ranks best again.
+        for _ in range(len(session.evaluator)):
+            if session.current_repair is victim:
+                break
+            scripted_attack(manager, monkeypatch, page, failing)
+        assert session.current_repair is victim
+        scripted_attack(manager, monkeypatch, page, completed)
+        assert session.state.value == "patched"
+        # A rival proves itself more often than the victim (as trials in
+        # a parallel wave would), so the victim's next failure withdraws
+        # it; it turns bad again.
+        rival = next(scored for scored in session.evaluator.ranking()
+                     if scored is not victim)
+        for _ in range(victim.successes + 1):
+            session.evaluator.record_success(rival)
+        scripted_attack(manager, monkeypatch, page, failing)  # revocation 2
+        assert session.current_repair is rival
         assert victim.revocations == 2
         assert victim.blacklisted
         assert health_record(manager, key)["blacklisted"]
@@ -333,3 +356,64 @@ class TestRevocationWave:
             held = {patch["description"]
                     for patch in member.applied_patches()}
             assert winner <= held
+
+
+class TestWaveWithoutSurvivor:
+    """A parallel evaluation that finds no winner still settles the
+    session.  The evaluator withdraws the deployed repair to farm out
+    the candidates, so the core redeploys the best-ranked candidate
+    left, or exhausts the session when none is left."""
+
+    def test_best_remaining_repair_is_redeployed(self, make_manager,
+                                                  monkeypatch):
+        manager = make_manager(members=2)
+        failure_pc, page = drive_to_evaluation(manager)
+        session = manager.clearview.sessions[failure_pc]
+        failing = RunResult(outcome=Outcome.FAILURE, output=[], steps=0,
+                            failure_pc=failure_pc, monitor=session.monitor)
+        finish = ChannelMember.finish_evaluate_candidate
+
+        def failed_trial(member):
+            finish(member)
+            return failing
+
+        with monkeypatch.context() as scripted:
+            scripted.setattr(ChannelMember, "finish_evaluate_candidate",
+                             failed_trial)
+            assert manager.evaluate_candidates_in_parallel(
+                failure_pc, page) >= 1
+        assert all(scored.failures >= 1
+                   for scored in session.evaluator.scored)
+        best = session.evaluator.best()
+        assert best is not None and session.current_repair is best
+        assert session.state.value == "evaluating"
+        keys = {patch.description for patch in session.current_patches}
+        assert best.candidate.description in keys
+        for member in manager.environment.alive_members():
+            held = {patch["description"]
+                    for patch in member.applied_patches()}
+            assert keys <= held
+        # The next attack is judged against that repair.
+        judged = best.successes + best.failures
+        manager.attack(page)
+        assert best.successes + best.failures == judged + 1
+
+    def test_every_candidate_blacklisted_exhausts_session(self,
+                                                          make_manager):
+        """With every candidate blacklisted (revoked twice, toxic or
+        vetoed; marked directly here) a wave has nothing to try: the
+        session is EXHAUSTED with nothing installed."""
+        manager = make_manager(members=2)
+        failure_pc, page = drive_to_evaluation(manager)
+        session = manager.clearview.sessions[failure_pc]
+        for scored in session.evaluator.scored:
+            session.evaluator.blacklist(scored)
+        assert manager.evaluate_candidates_in_parallel(failure_pc,
+                                                       page) == 0
+        assert session.state.value == "exhausted"
+        assert session.current_repair is None
+        assert session.current_patches == []
+        for member in manager.environment.alive_members():
+            assert member.applied_patches() == []
+        assert manager.clearview.events[-1] == \
+            f"repairs-exhausted {session.failure_id}"

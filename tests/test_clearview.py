@@ -7,7 +7,9 @@ import struct
 
 import pytest
 
+from repro.analysis.vetting import VetFinding, VetReport
 from repro.core import (
+    AdaptiveProtection,
     ClearView,
     ClearViewConfig,
     SessionState,
@@ -158,47 +160,6 @@ class TestFourPresentationProtocol:
         assert "1 patched" in text
 
 
-class TestRepairRotation:
-    def test_failed_repair_rotates_to_next(self, protected):
-        """Force the first repair to fail by marking it failed directly;
-        the next best must be applied."""
-        binary, clearview = protected
-        for _ in range(3):
-            clearview.run(attack_page())
-        session = next(iter(clearview.sessions.values()))
-        first = session.current_repair
-        # Simulate the applied repair failing its evaluation run.
-        clearview._repair_failed(session, elapsed=0.01)
-        assert session.current_repair is not first
-        assert first.failures == 1
-        assert session.state is SessionState.EVALUATING
-
-    def test_crash_counts_against_applied_repair(self, protected):
-        binary, clearview = protected
-        for _ in range(3):
-            clearview.run(attack_page())
-        session = next(iter(clearview.sessions.values()))
-        repair = session.current_repair
-        clearview._on_crash({session.failure_pc: repair}, elapsed=0.0)
-        assert repair.failures == 1
-
-    def test_proven_patch_demoted_on_recurrence(self, protected):
-        binary, clearview = protected
-        for _ in range(4):
-            clearview.run(attack_page())
-        session = next(iter(clearview.sessions.values()))
-        proven = session.current_repair
-        assert session.state is SessionState.PATCHED
-        # Failure at the same location while patched: demote and rotate.
-        from repro.dynamo.execution import RunResult
-        fake = RunResult(outcome=Outcome.FAILURE, output=[], steps=1,
-                         failure_pc=session.failure_pc, monitor="test")
-        clearview._on_failure(fake, {session.failure_pc: proven},
-                              elapsed=0.0)
-        assert proven.failures == 1
-        assert session.state is SessionState.EVALUATING
-
-
 def present(clearview, monkeypatch, run) -> RunResult:
     """One attack presentation whose run is scripted by *run*."""
     with monkeypatch.context() as scripted:
@@ -216,11 +177,99 @@ def completed(payload) -> RunResult:
     return RunResult(outcome=Outcome.COMPLETED, output=[], steps=1)
 
 
+def crashed(payload) -> RunResult:
+    return RunResult(outcome=Outcome.CRASH, output=[], steps=1,
+                     detail="write fault")
+
+
 def health_record(clearview, scored) -> dict:
     """The patch-health report's record of *scored*."""
     return next(record for record in
                 patch_health(clearview.sessions.values())["records"]
                 if record["key"] == scored.candidate.description)
+
+
+class TestRepairRotation:
+    def test_failed_repair_rotates_to_next(self, protected, monkeypatch):
+        """The applied repair fails its evaluation run (the failure
+        recurs at its own location); the next best must be applied."""
+        binary, clearview = protected
+        for _ in range(3):
+            clearview.run(attack_page())
+        session = next(iter(clearview.sessions.values()))
+        first = session.current_repair
+        present(clearview, monkeypatch, failure_at(session.failure_pc))
+        assert session.current_repair is not first
+        assert first.failures == 1
+        assert session.state is SessionState.EVALUATING
+
+    def test_crash_counts_against_applied_repair(self, protected,
+                                                 monkeypatch):
+        """A crash in which no enforcement fired blames the repair still
+        under evaluation."""
+        binary, clearview = protected
+        for _ in range(3):
+            clearview.run(attack_page())
+        session = next(iter(clearview.sessions.values()))
+        repair = session.current_repair
+        present(clearview, monkeypatch, crashed)
+        assert repair.failures == 1
+
+    def test_proven_patch_demoted_on_recurrence(self, protected,
+                                                monkeypatch):
+        binary, clearview = protected
+        for _ in range(4):
+            clearview.run(attack_page())
+        session = next(iter(clearview.sessions.values()))
+        proven = session.current_repair
+        assert session.state is SessionState.PATCHED
+        # Failure at the same location while patched: demote and rotate.
+        present(clearview, monkeypatch, failure_at(session.failure_pc))
+        assert proven.failures == 1
+        assert session.state is SessionState.EVALUATING
+
+
+def rejecting(candidate, failure_id="") -> VetReport:
+    """A vetter verdict that rejects every candidate."""
+    return VetReport(description=candidate.description, findings=[
+        VetFinding("progress", candidate.invariant.check_pc, "scripted")])
+
+
+class TestEveryCandidateVetoed:
+    """Checking ends with every candidate repair vetoed before its first
+    deployment: the session is out of repairs, so it is EXHAUSTED with
+    nothing installed and no longer counts as under repair."""
+
+    def test_session_is_exhausted_with_nothing_installed(self, protected):
+        binary, clearview = protected
+        clearview.vet_candidate = rejecting
+        for _ in range(8):
+            result = clearview.run(attack_page())
+            assert result.outcome is Outcome.FAILURE
+        session = next(iter(clearview.sessions.values()))
+        assert session.state is SessionState.EXHAUSTED
+        assert session.current_repair is None
+        assert session.current_patches == [] and session.check_patches == []
+        assert clearview.environment.patches == []
+        assert session.evaluator.scored
+        assert all(scored.vetoed and scored.blacklisted
+                   and scored.deployments == 0
+                   for scored in session.evaluator.scored)
+        assert clearview.events.count(
+            f"repairs-exhausted {session.failure_id}") == 1
+
+    def test_adaptive_protection_relaxes(self, protected):
+        binary, clearview = protected
+        clearview.vet_candidate = rejecting
+        protection = AdaptiveProtection(clearview)
+        for _ in range(4):
+            assert protection.run(attack_page()).outcome is Outcome.FAILURE
+        assert protection.elevated
+        relaxations = protection.relaxations
+        for _ in range(protection.config.quiet_runs_to_relax):
+            assert protection.run(page(1)).outcome is Outcome.COMPLETED
+        assert not protection.elevated
+        assert protection.relaxations == relaxations + 1
 
 
 class TestOneJudge:

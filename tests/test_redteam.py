@@ -9,6 +9,8 @@ stories.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core import SessionState, patch_health
@@ -27,49 +29,61 @@ PATCHED, EVALUATING = SessionState.PATCHED, SessionState.EVALUATING
 #: presentations only; this pins which repair each session ends on.
 #: 311710 (neg-index) ends on the index lower bound at all three
 #: defects, with no unsuccessful runs: a repair is never blamed for the
-#: next defect firing.
+#: next defect firing.  The last column pins the order of the core's
+#: decisions: the length of ``ClearView.events`` and the sha256 of the
+#: newline-joined log.
 GOLDEN_REPAIRS = [
     ("js-type-1", 4, (1, 1), [
         (PATCHED, "if !(0x1030:target in {4992}) then "
-                  "0x1030:target = 4992", 0)]),
+                  "0x1030:target = 4992", 0)],
+     (3, "9ed7a9db922ee2db573a69e4a7fe7b5f309e7016ebb16103a371cc0f2ecabcc6")),
     ("gc-collect", 4, (1, 1), [
         (PATCHED, "if !(0x1170:target in {4992}) then "
-                  "0x1170:target = 4992", 0)]),
+                  "0x1170:target = 4992", 0)],
+     (3, "5cd4d90bbf392fb92d0b7c310660f96427c64d380a0dd1d505c0d71806c5e7bf")),
     ("neg-strlen", 4, (1, 1), [
-        (PATCHED, "if !(3 <= 0x2410:value) then 0x2410:value = 3", 0)]),
+        (PATCHED, "if !(3 <= 0x2410:value) then 0x2410:value = 3", 0)],
+     (3, "29070bf72f5ec6632a6776b96be6373783141caef93eab94c72f2cfea17f3939")),
     ("js-type-2", 5, (1, 2), [
-        (PATCHED, "skip call unless 0x10d0:target in {5248}", 1)]),
+        (PATCHED, "skip call unless 0x10d0:target in {5248}", 1)],
+     (5, "ca2ce97156d2233d4538bb628550826fd1a08ed03168b22f5a3140cf4e5af2e7")),
     ("mm-reuse-1", 6, (1, 3), [
         (PATCHED, "return from procedure unless 0x1220:target in {5104}",
-         2)]),
+         2)],
+     (7, "71d2c97cb762e9a65548fb982e7fee4296fa4c4bd5c256354383e534135c6693")),
     ("mm-reuse-2", 6, (1, 3), [
         (PATCHED, "return from procedure unless 0x1300:target in {5104}",
-         2)]),
+         2)],
+     (7, "881a0979dd8f8e416204aa26d7cc008ed4eb023f2ae1ef26685ca4649162a7ad")),
     ("gif-sign", 4, (1, 1), [
-        (PATCHED, "if !(0 <= 0x15a0:value) then 0x15a0:value = 0", 0)]),
+        (PATCHED, "if !(0 <= 0x15a0:value) then 0x15a0:value = 0", 0)],
+     (3, "c86299d3b9ede583c4b304ac38138674921142bd9a9ba4d0e65f0da010bd0734")),
     ("int-overflow", 4, (1, 1), [
         (PATCHED, "if !(0x1d20:dst <= 0x1cd0:dst) then "
-                  "0x1d20:dst = 0x1cd0:dst", 0)]),
+                  "0x1d20:dst = 0x1cd0:dst", 0)],
+     (3, "9638d7ce8db877c025586c29f2bc1e2bc9a691d6d238e909de3e801d9783dd1e")),
     ("neg-index", 12, (3, 3), [
         (PATCHED, "if !(1000 <= 0x20a0:value) then 0x20a0:value = 1000",
          0),
         (PATCHED, "if !(1000 <= 0x21c0:value) then 0x21c0:value = 1000",
          0),
         (PATCHED, "if !(1000 <= 0x22e0:value) then 0x22e0:value = 1000",
-         0)]),
+         0)],
+     (21, "e135e61f76b1ffcd435edf176ee45e792bbd80ef44a62a39eda3986f5d602bdf")),
     ("soft-hyphen", None, (1, 1), [
-        (EVALUATING, "if !(1 <= 0x19b0:dst) then 0x19b0:dst = 1", 17)]),
+        (EVALUATING, "if !(1 <= 0x19b0:dst) then 0x19b0:dst = 1", 17)],
+     (19, "7995b2d4ccf75baa49fb8e3b6966e1778a213cc9cc7121ddfd871f617ff160f9")),
 ]
 
 
 class TestSingleVariantAttacks:
     @pytest.mark.parametrize(
-        "defect_id,expected,reported,sessions", GOLDEN_REPAIRS,
+        "defect_id,expected,reported,sessions,events", GOLDEN_REPAIRS,
         ids=[f"{defect_id}-{expected}"
-             for defect_id, expected, _, _ in GOLDEN_REPAIRS])
+             for defect_id, expected, _, _, _ in GOLDEN_REPAIRS])
     def test_presentations_match_table1(self, prepared_exercise,
                                         defect_id, expected, reported,
-                                        sessions):
+                                        sessions, events):
         attack = exploit(defect_id)
         result = prepared_exercise._for_defect(attack).attack(
             attack, max_presentations=20)
@@ -82,6 +96,9 @@ class TestSingleVariantAttacks:
         assert (health["watched"], len(health["records"])) == reported
         assert {record["status"] for record in health["records"]} == \
             {"healthy"}
+        log = "\n".join(result.clearview.events)
+        assert (len(result.clearview.events),
+                hashlib.sha256(log.encode()).hexdigest()) == events, log
 
     def test_mm_reuse_third_patch_is_return(self, prepared_exercise):
         """269095: the successful patch is return-from-procedure, after

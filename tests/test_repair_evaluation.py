@@ -209,7 +209,8 @@ class TestScoring:
         evaluator.record_failure(first)
         evaluator.record_failure(first)
         assert evaluator.best().candidate.invariant.check_pc == 0x20
-        assert evaluator.counts() == (0, 2)
+        assert [(scored.successes, scored.failures)
+                for scored in evaluator.scored] == [(0, 2), (0, 0)]
 
 
 class TestLateFailureProperties:
