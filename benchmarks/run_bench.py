@@ -400,11 +400,11 @@ def run_churn_bench(members: int = 8, seed: int = 2009,
     Measures best-of-*waves* pipelined probe-wave latency in three
     regimes — healthy, degraded (one seeded casualty SIGKILLed and
     evicted by a forced heartbeat sweep, as at a wave edge), and
-    recovered (the casualty relaunched, caught up on the patch ledger,
-    and re-admitted) — plus the eviction wall-clock (that one sweep
-    over the whole pool) and the recovery wall-clock.  Returns one
-    legacy-shaped latency record (the caller lifts it to a profile via
-    ``perfvc.profiles.migrate_record``).
+    recovered (the casualty relaunched, sent the live patches in its
+    admission catch-up, and re-admitted) — plus the eviction wall-clock
+    (that one sweep over the whole pool) and the recovery wall-clock.
+    Returns one legacy-shaped latency record (the caller lifts it to a
+    profile via ``perfvc.profiles.migrate_record``).
     """
     import multiprocessing
     import random

@@ -31,8 +31,8 @@ Commands
     edge, so one wedged between commands is evicted before work goes
     to it; ``--min-members`` sets the quorum floor; and
     ``--reconnect`` (member side) re-dials a lost manager with
-    exponential backoff and catches up on missed patches from the
-    epoch-stamped ledger.
+    exponential backoff; its hello lists the patches it holds, so it
+    catches up on exactly what changed while it was away.
 ``snapshot``
     Save or inspect a persistent code-cache snapshot (§4.4.5
     save/restore): ``snapshot save cache.json`` warms the WebBrowse
@@ -392,9 +392,6 @@ def _cmd_snapshot(args) -> int:
     print(f"reached:     {len(payload.get('reached', []))} block starts")
     print(f"trace paths: "
           f"{sum(1 for p in payload.get('trace_paths', {}).values() if p)}")
-    if "ledger_epoch" in payload:
-        print(f"ledger epoch: {payload['ledger_epoch']} "
-              f"(community patch-ledger stamp)")
     try:
         snapshot_from_dict(payload, binary)
     except SnapshotError as error:
@@ -496,9 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     community_parser.add_argument(
         "--reconnect", type=int, default=0, metavar="N",
         help="with --connect: re-dial a lost manager connection up to "
-             "N times (exponential backoff); the rejoin hello announces "
-             "the last acknowledged patch epoch so only missed deltas "
-             "are replayed")
+             "N times (exponential backoff); the rejoin hello lists the "
+             "patches this member holds, so only what changed while it "
+             "was away is sent")
     community_parser.add_argument(
         "--heartbeat-interval", type=float, default=None, metavar="SECS",
         help="at each wave edge, ping members idle for at least this "

@@ -13,7 +13,6 @@ from repro.community.remote import (
     DroppedMember,
     FramedChannel,
     LoopbackTransport,
-    PatchLedger,
     SocketTransport,
     connect_member,
     run_member,
@@ -30,7 +29,7 @@ __all__ = [
     "CommunityEnvironment", "CommunityManager",
     "DistributedLearningReport", "CommunityNode", "NodeStats",
     "MemberFailure", "DroppedMember", "ChannelMember", "ChannelTransport",
-    "FramedChannel", "LoopbackTransport", "PatchLedger", "ProcessTransport",
+    "FramedChannel", "LoopbackTransport", "ProcessTransport",
     "SocketTransport", "connect_member", "run_member",
     "overlapping_assignments", "partition_random",
     "partition_round_robin", "Message", "MessageBus",

@@ -84,12 +84,17 @@ class CommunityEnvironment:
         if not transport.members:
             raise ValueError("a community needs at least one member")
         self.transport = transport
-        self.patches: list[Patch] = []
         self._next = 0
 
     @property
     def members(self) -> list:
         return self.transport.members
+
+    @property
+    def patches(self) -> list[Patch]:
+        """The community's live patches in install order (the
+        transport's list, which admission reconciles members against)."""
+        return self.transport.patches
 
     @property
     def binary(self) -> Binary:
@@ -119,14 +124,11 @@ class CommunityEnvironment:
 
     def install_patch(self, patch: Patch) -> None:
         # A patch the wire codec cannot ship must be refused before it
-        # reaches the patch list or the transport's ledger, which is
-        # also the rejoin journal a catch-up replays.
+        # reaches the live list, which admission sends to newcomers.
         wire.patch_to_dict(patch)
         if not self.alive_members():
             raise CommunityError("no live members left to patch")
         self.patches.append(patch)
-        ledger = self.transport.ledger
-        ledger.log_install(patch)
         for member in self.alive_members():
             try:
                 member.install_patch(patch)
@@ -135,12 +137,10 @@ class CommunityEnvironment:
         if not self.alive_members():
             # Every member died during fan-out: the patch reached no one.
             self.patches.remove(patch)
-            ledger.log_remove(patch)
             raise CommunityError("no live members left to patch")
 
     def remove_patch(self, patch: Patch) -> None:
         self.patches.remove(patch)
-        self.transport.ledger.log_remove(patch)
         for member in self.alive_members():
             try:
                 member.remove_patch(patch)
@@ -152,13 +152,12 @@ class CommunityEnvironment:
         member in one wave, idempotently.
 
         Unlike :meth:`remove_patch`, a member that no longer holds the
-        patch (joined after its install wave, or already caught up past
-        its removal) simply acknowledges — a revocation must never cost
-        members.  Returns how many members actually held the patch.
+        patch (it was already withdrawn) simply acknowledges — a
+        revocation must never cost members.  Returns how many members
+        actually held the patch.
         """
         if patch in self.patches:
             self.patches.remove(patch)
-            self.transport.ledger.log_remove(patch)
         held = 0
         for member in self.alive_members():
             try:

@@ -16,17 +16,19 @@ transport the manager offers:
   stalling the server forever in a blocking read.
 - :class:`ChannelMember` is the server-side handle for one member on
   every transport.  It keeps a bounded *pipeline* of in-flight commands
-  per worker, and its waits are multiplexed by the owning transport:
-  while the server blocks on one member's reply it keeps pumping every
-  other member's channel, so the manager's correlation/merge work
-  overlaps in-flight member runs.
+  per worker and the canonical patches the member holds.  Its waits are
+  multiplexed: while the server blocks on one member's reply,
+  :meth:`FramedChannel.recv_frame` keeps pumping every other busy
+  member's channel, so the manager's correlation/merge work overlaps
+  in-flight member runs.
 - :class:`ChannelTransport` is the shared transport base (bus-compatible
-  accounting, canonical :class:`PatchLedger`, per-op deadline table,
-  worker-pool lifecycle); :class:`SocketTransport` implements it over
-  TCP with optional TLS, either spawning loopback worker processes or
-  accepting externally launched members (``python -m repro community
-  --connect HOST:PORT``), and :class:`LoopbackTransport` runs the
-  members in the server's own process over :class:`LoopbackChannel`.
+  accounting, the community's live patches in install order, per-op
+  deadline table, worker-pool lifecycle); :class:`SocketTransport`
+  implements it over TCP with optional TLS, either spawning loopback
+  worker processes or accepting externally launched members (``python
+  -m repro community --connect HOST:PORT``), and
+  :class:`LoopbackTransport` runs the members in the server's own
+  process over :class:`LoopbackChannel`.
 - :func:`_handle_command` is the member command handler.  The worker
   processes run it from :func:`serve_channel`, the command loop of the
   pipe and socket transports; a :class:`LoopbackChannel` calls it for
@@ -52,11 +54,11 @@ longer than the interval are pinged (``ping`` has its own row in the
 deadline table), so a worker that wedged *between* commands is evicted
 before the next wave scatters work onto it.  The transport starts no
 thread: a channel moves only inside the server's own calls.  Dropped
-members are not gone for good: the server's :class:`PatchLedger`
-journals every community-wide install/remove under a monotonically
-increasing *epoch*, members announce their last acknowledged epoch in
-an epoch-stamped hello, and admission replays exactly the net ledger
-deltas the member missed — see :meth:`PatchLedger.deltas_since`.
+members are not gone for good: a member's hello lists the ids of the
+patches it holds, and admission reconciles it against the community's
+live patches in one ``catch-up`` command.  A live member cannot miss a
+command (any command that fails drops it), so admission is the only
+point where its patches can differ from the community's.
 
 Accounting: every frame that crosses a channel is logged with its true
 on-wire size (``Message.frame_size``, length prefix included).  A reply
@@ -153,7 +155,7 @@ class FramedChannel:
 
     The socket is switched to non-blocking mode; all waiting happens in
     explicit ``select`` calls so a caller can multiplex many channels
-    (see :meth:`ChannelTransport._await_reply`).  Incoming bytes are
+    (the *siblings* of :meth:`recv_frame`).  Incoming bytes are
     pumped into an internal buffer and parsed incrementally; complete
     frames queue up, which is what allows a bounded *pipeline* of
     in-flight commands per worker.
@@ -236,67 +238,75 @@ class FramedChannel:
             self._parse()
         return progressed
 
-    def has_frame(self) -> bool:
-        return bool(self._frames)
-
-    def pop_frame(self) -> bytes:
-        return self._frames.popleft()
-
     @property
     def at_eof(self) -> bool:
         return self._eof
 
-    def partial_frame_deadline(self) -> float | None:
-        """Absolute monotonic deadline of the in-flight partial frame
-        (None when the buffer sits on a frame boundary)."""
-        if self._frame_started is None:
-            return None
-        return self._frame_started + self.frame_deadline
-
-    def _wait_readable(self, timeout: float) -> bool:
-        if ssl is not None and isinstance(self._sock, ssl.SSLSocket) and \
-                self._sock.pending():
-            return True
-        try:
-            readable, _, _ = select.select([self._sock], [], [],
-                                           max(0.0, timeout))
-        except (OSError, ValueError) as error:
-            raise ChannelClosed(f"channel wait failed: {error}",
-                                mid_frame=bool(self._buffer)) from error
-        return bool(readable)
-
-    def recv_frame(self, timeout: float | None = None) -> bytes:
+    def recv_frame(self, timeout: float | None = None,
+                   siblings: typing.Iterable["FramedChannel"] = ()
+                   ) -> bytes:
         """Wait for one complete frame.
 
         ``timeout`` bounds time-to-first-byte (None = wait forever for a
         frame to start); :attr:`frame_deadline` bounds first byte to
         complete frame.  Raises :class:`ChannelTimeout` on either
         deadline, :class:`ChannelClosed` on EOF.
+
+        While it waits, every channel in *siblings* that becomes
+        readable is pumped too: the server collects one member's reply
+        while the others' replies keep streaming into their buffers.  A
+        sibling's failure surfaces when that sibling is received from.
         """
         start = _monotonic()
         while True:
+            # Pump before evaluating any deadline: a frame that fully
+            # arrived while the caller was busy must be surfaced, not
+            # timed out.
             self.pump()
             if self._frames:
                 return self._frames.popleft()
-            if self._eof:
+            if self._eof or self.closed:
                 raise ChannelClosed(mid_frame=bool(self._buffer))
             now = _monotonic()
-            frame_deadline = self.partial_frame_deadline()
-            if frame_deadline is not None and now >= frame_deadline:
-                raise ChannelTimeout(
-                    f"frame stalled mid-receive ({len(self._buffer)} bytes "
-                    f"buffered, no complete frame within "
-                    f"{self.frame_deadline:.1f}s)", mid_frame=True)
-            waits = []
-            if frame_deadline is not None:
-                waits.append(frame_deadline - now)
-            if timeout is not None and frame_deadline is None:
-                remaining = timeout - (now - start)
-                if remaining <= 0:
+            if self._frame_started is not None:
+                wait = self._frame_started + self.frame_deadline - now
+                if wait <= 0:
                     raise ChannelTimeout(
-                        f"no reply within {timeout:.1f}s")
-                waits.append(remaining)
-            self._wait_readable(min(waits) if waits else 1.0)
+                        f"frame stalled mid-receive ({len(self._buffer)} "
+                        f"bytes buffered, no complete frame within "
+                        f"{self.frame_deadline:.1f}s)", mid_frame=True)
+            elif timeout is None:
+                wait = 1.0
+            else:
+                wait = timeout - (now - start)
+                if wait <= 0:
+                    raise ChannelTimeout(
+                        f"no reply within {max(timeout, 0.0):.1f}s")
+            self._wait(wait, siblings)
+
+    def _wait(self, timeout: float, siblings) -> None:
+        """Sleep until this channel or a sibling is readable, at most
+        *timeout* seconds, and pump the siblings that are."""
+        if ssl is not None and isinstance(self._sock, ssl.SSLSocket) and \
+                self._sock.pending():
+            return
+        # EOF'd channels are permanently select-readable with no
+        # progress to make; including one would busy-spin the wait.
+        watched = [self, *(peer for peer in siblings
+                           if not peer.closed and not peer.at_eof)]
+        try:
+            readable, _, _ = select.select(watched, [], [], timeout)
+        except (OSError, ValueError):
+            # A descriptor died mid-select: pump everything once; a dead
+            # channel reads as EOF and drops out of the next wait.
+            readable = watched
+        for peer in readable:
+            if peer is self:
+                continue
+            try:
+                peer.pump()
+            except ChannelError:
+                pass
 
     # -- send side -----------------------------------------------------
 
@@ -341,154 +351,6 @@ class FramedChannel:
             self._sock.close()
         except OSError:  # pragma: no cover - teardown races
             pass
-
-
-class PatchLedger:
-    """Canonical-object registry for patches distributed to workers.
-
-    Workers execute *copies* of every patch; the ledger maps a patch id
-    back to the server's original so that observation events and fired
-    counters land where the ClearView core reads them.
-
-    Entries are *refcounted* per patch id: a patch fanned out to N
-    members registers N times, and the canonical object stays resolvable
-    while any member still holds it — removing it from one member (or
-    dropping that member) must not orphan the others' observation
-    events.  The entry is freed when the last holder lets go, so the
-    ledger stays bounded across arbitrarily many patch episodes.
-
-    The ledger is also the community's *rejoin journal*: every
-    community-wide install/remove is logged under a monotonically
-    increasing epoch (:meth:`log_install` / :meth:`log_remove`), members
-    acknowledge epochs as they process stamped commands, and a member
-    that reconnects after a drop replays exactly
-    :meth:`deltas_since` its last acknowledged epoch — net, so an
-    install/remove pair that came and went entirely while it was gone
-    replays to nothing.  :meth:`compact` forgets cancelled pairs no
-    possible rejoiner still needs.
-    """
-
-    def __init__(self):
-        self._by_id: dict[int, Patch] = {}
-        self._refs: dict[int, int] = {}
-        #: Monotonic counter of community-wide install/remove events.
-        self.epoch = 0
-        #: Epoch-stamped journal: ``(epoch, "install"|"remove",
-        #: patch_id, patch-or-None)`` in event order.
-        self.history: list[tuple[int, str, int, Patch | None]] = []
-
-    def register(self, patch: Patch) -> None:
-        patch_id = patch.patch_id
-        self._by_id[patch_id] = patch
-        self._refs[patch_id] = self._refs.get(patch_id, 0) + 1
-
-    def unregister(self, patch: Patch) -> None:
-        self.release(patch.patch_id)
-
-    def release(self, patch_id: int) -> None:
-        """Drop one holder's reference; free the entry at zero."""
-        refs = self._refs.get(patch_id)
-        if refs is None:
-            return
-        if refs > 1:
-            self._refs[patch_id] = refs - 1
-        else:
-            del self._refs[patch_id]
-            self._by_id.pop(patch_id, None)
-
-    def live_entries(self) -> int:
-        """How many canonical patches the ledger currently retains."""
-        return len(self._by_id)
-
-    def fold_observation(self, patch_id: int, satisfied: bool) -> None:
-        patch = self._by_id.get(patch_id)
-        if isinstance(patch, CheckPatch) and patch.sink is not None:
-            patch.sink.record(Observation(
-                failure_id=patch.failure_id, invariant=patch.invariant,
-                satisfied=satisfied))
-
-    def fold_fired(self, patch_id: int, delta: int) -> None:
-        patch = self._by_id.get(patch_id)
-        if patch is not None and hasattr(patch, "fired"):
-            patch.fired += delta
-
-    # -- rejoin journal ------------------------------------------------
-
-    def log_install(self, patch: Patch) -> int:
-        """Journal a community-wide install; returns its epoch."""
-        self.epoch += 1
-        self.history.append((self.epoch, "install", patch.patch_id, patch))
-        return self.epoch
-
-    def log_remove(self, patch: Patch) -> int:
-        """Journal a community-wide remove; returns its epoch."""
-        self.epoch += 1
-        self.history.append((self.epoch, "remove", patch.patch_id, None))
-        return self.epoch
-
-    def deltas_since(self, epoch: int) -> tuple[list[int], list[Patch]]:
-        """Net replay for a member whose last acknowledged epoch is
-        *epoch*: ``(patch ids to remove, patches to install)``.
-
-        Net means an install the window later removed is skipped
-        entirely, and a remove of a patch installed *within* the window
-        cancels that pending install instead of being replayed (the
-        member never saw it).  Removes are ordered before installs so a
-        patch id removed-and-reinstalled across the window replays
-        correctly.
-        """
-        pending: dict[int, Patch] = {}
-        removes: list[int] = []
-        for entry_epoch, op, patch_id, patch in self.history:
-            if entry_epoch <= epoch:
-                continue
-            if op == "install":
-                pending[patch_id] = patch
-            elif patch_id in pending:
-                del pending[patch_id]
-            else:
-                removes.append(patch_id)
-        return removes, list(pending.values())
-
-    def live_at(self, epoch: int) -> list[Patch]:
-        """The community-wide live patch set as of *epoch*, in install
-        order (what a member caught up to that epoch holds)."""
-        live: dict[int, Patch] = {}
-        for entry_epoch, op, patch_id, patch in self.history:
-            if entry_epoch > epoch:
-                break
-            if op == "install":
-                live[patch_id] = patch
-            else:
-                live.pop(patch_id, None)
-        return list(live.values())
-
-    def compact(self, floor: int) -> None:
-        """Forget install/remove pairs whose remove is at or below
-        *floor* — no possible rejoiner needs them replayed.
-
-        Safe when *floor* is at most every member's acknowledged epoch:
-        a member acked past the remove already processed both events,
-        and a fresh member (hello epoch 0) never saw the install, so
-        the cancelled pair nets to nothing for it anyway.  Keeps the
-        journal bounded across arbitrarily many patch episodes.
-        """
-        doomed: set[int] = set()
-        open_installs: dict[int, list[int]] = {}
-        for index, entry in enumerate(self.history):
-            epoch, op, patch_id, _patch = entry
-            if op == "install":
-                open_installs.setdefault(patch_id, []).append(index)
-                continue
-            stack = open_installs.get(patch_id)
-            install_index = stack.pop() if stack else None
-            if install_index is not None and epoch <= floor:
-                doomed.add(install_index)
-                doomed.add(index)
-        if doomed:
-            self.history = [entry for index, entry
-                            in enumerate(self.history)
-                            if index not in doomed]
 
 
 @dataclass
@@ -553,10 +415,6 @@ class _WorkerState:
         self.events: list = []
         self.fault: dict | None = None
         self.last_database: dict | None = None
-        #: Last install/remove epoch this worker acknowledged; echoed in
-        #: ping replies and announced in the reconnect hello so the
-        #: server replays exactly the missed ledger deltas.
-        self.patch_epoch = 0
         #: Armed by the ``wedge-idle`` fault: SIGSTOP *after* the next
         #: reply is fully on the wire, i.e. with no command in flight —
         #: the wedge only a wave-edge heartbeat ping can notice.
@@ -604,11 +462,6 @@ class _WorkerState:
                 self.captures.pop(capture_id, None)
         return True
 
-    def stamp(self, epoch: int | None) -> None:
-        """Acknowledge the ledger epoch an install/remove carried."""
-        if epoch is not None:
-            self.patch_epoch = int(epoch)
-
 
 def _execute(state: _WorkerState, request: dict) -> dict:
     """Run one command against a member session; returns the reply
@@ -617,7 +470,7 @@ def _execute(state: _WorkerState, request: dict) -> dict:
     node = state.node
     op = request["op"]
     if op == "ping":
-        return {"ok": True, "pid": os.getpid(), "epoch": state.patch_epoch}
+        return {"ok": True, "pid": os.getpid()}
     if op == "learn-shard":
         procedures = request["procedures"]
         database, observations = node.learn_shard(
@@ -634,26 +487,23 @@ def _execute(state: _WorkerState, request: dict) -> dict:
         return {"ok": True, "result": wire.run_result_to_dict(result)}
     if op == "install-patch":
         state.install(request["patch"])
-        state.stamp(request.get("epoch"))
         return {"ok": True}
     if op == "remove-patch":
         if not state.remove(request["patch_id"]):
             return {"ok": False,
                     "error": f"patch {request['patch_id']} not applied"}
-        state.stamp(request.get("epoch"))
         return {"ok": True}
     if op == "revoke-patch":
         # Fleet-wide revocation: idempotent by design.  A member that
-        # never held the patch (joined after its wave, or already caught
-        # up past its removal) acknowledges instead of erroring — a
-        # revocation wave must never cost members.
+        # no longer holds the patch (it was already withdrawn)
+        # acknowledges instead of erroring — a revocation wave must
+        # never cost members.
         held = state.remove(request["patch_id"])
-        state.stamp(request.get("epoch"))
         return {"ok": True, "held": held}
     if op == "catch-up":
-        # Rejoin replay: the net ledger deltas since this worker's
-        # acknowledged epoch, removes strictly before installs.
-        removes, installs, epoch = wire.catch_up_from_dict(request)
+        # Admission: withdraw the held patches the community no longer
+        # has, then install the live ones this worker lacks.
+        removes, installs = wire.catch_up_from_dict(request)
         missing = [patch_id for patch_id in removes
                    if patch_id not in state.installed]
         if missing:
@@ -663,8 +513,7 @@ def _execute(state: _WorkerState, request: dict) -> dict:
             state.remove(patch_id)
         for payload in installs:
             state.install(payload)
-        state.stamp(epoch)
-        return {"ok": True, "installed": sorted(state.installed)}
+        return {"ok": True}
     if op == "evaluate-candidate":
         trial_captures: dict[str, object] = {}
         patches = [state.decode_patch(payload, trial_captures)
@@ -683,7 +532,7 @@ def _execute(state: _WorkerState, request: dict) -> dict:
         return {"ok": True, "stats": asdict(node.stats)}
     if op == "debug-state":
         # Test/console introspection: the registry footprint that
-        # capture and ledger refcounting keep bounded.
+        # capture refcounting keeps bounded.
         return {"ok": True,
                 "capture_cells": sorted(state.captures),
                 "capture_refs": dict(sorted(state.capture_refs.items())),
@@ -783,7 +632,7 @@ def serve_channel(channel: FramedChannel, name: str, binary: Binary,
     process of its own — fault injection, which exits or SIGSTOPs it.
 
     Passing a previous call's *state* resumes the same worker session
-    (node, installed patches, acknowledged epoch) on a fresh channel —
+    (node, installed patches, warm caches) on a fresh channel —
     the reconnect path of :func:`run_member`.  Returns ``(state,
     reason)`` where *reason* is ``"shutdown"`` after a polite bye and
     ``"channel-error"`` when the connection was lost.
@@ -890,7 +739,9 @@ class LoopbackChannel:
         self.received_bytes += _HEADER.size + len(reply)
         return _HEADER.size + len(payload)
 
-    def recv_frame(self) -> bytes:
+    def recv_frame(self, timeout: float | None = None,
+                   siblings: typing.Iterable = ()) -> bytes:
+        """The reply, queued when its command was sent: no wait."""
         return self._replies.popleft()
 
     def close(self) -> None:
@@ -911,8 +762,15 @@ class ChannelMember:
     Commands are posted without waiting (`post`), replies collected FIFO
     (`collect`), and up to :attr:`pipeline_depth` commands may be in
     flight at once — the worker answers them in order, so replies
-    correlate by position.  Waiting is delegated to the transport, which
-    pumps every sibling channel while this member's reply is awaited.
+    correlate by position.  While this member's reply is awaited, every
+    sibling channel with commands in flight is pumped too
+    (:meth:`FramedChannel.recv_frame`).
+
+    The handle also keeps the canonical patches the member holds
+    (:attr:`held`) and its in-flight trial patches: the worker reports
+    check observations and ``fired`` deltas by patch id, and
+    :meth:`collect` folds them into these objects, where the ClearView
+    core reads them.  A dropped member's record is cleared.
 
     A new handle has no channel: it joins dispatch only through
     :meth:`ChannelTransport.admit`.
@@ -928,9 +786,9 @@ class ChannelMember:
         #: (None in-process and for externally started members).
         self.process = None
         self.alive = False
-        #: Last patch-ledger epoch this member acknowledged (0 = none);
-        #: a rejoin replays the deltas after this point.
-        self.acked_epoch = 0
+        #: The canonical patches this member holds, by id, in install
+        #: order.
+        self.held: dict[int, Patch] = {}
         #: When this member last completed traffic; a wave-edge
         #: heartbeat only pings members idle longer than its interval.
         self.last_activity = _monotonic()
@@ -941,11 +799,8 @@ class ChannelMember:
         #: when it was posted behind a queue.
         self._last_reply_at = _monotonic()
         self.pipeline_depth = transport.pipeline_depth
-        self._trial_patches: list[Patch] = []
-        #: Patch ids this member's installs registered on the ledger;
-        #: dropping the member releases them, so a casualty holding
-        #: patches cannot pin ledger entries forever.
-        self._ledger_ids: list[int] = []
+        #: The trial patches of the candidate evaluation in flight.
+        self._trial_patches: dict[int, Patch] = {}
 
     # -- low-level protocol --------------------------------------------
 
@@ -1001,7 +856,9 @@ class ChannelMember:
         base = max(posted_at, self._last_reply_at)
         remaining = timeout - (_monotonic() - base)
         try:
-            raw = self._transport._await_reply(self, remaining)
+            raw = self.channel.recv_frame(remaining, [
+                peer.channel for peer in self._transport.members
+                if peer is not self and peer.alive and peer.pending_ops])
         except ChannelTimeout as error:
             self._fail("hang", op, str(error), cause=error)
         except ChannelClosed as error:
@@ -1045,11 +902,10 @@ class ChannelMember:
                     sender=entry["sender"], recipient=entry["recipient"],
                     kind=entry["kind"], payload=entry["payload"],
                     frame_size=int(entry_size)))
-            ledger = self._transport.ledger
             for event in response["events"]:
-                ledger.fold_observation(int(event[0]), bool(event[1]))
+                self._fold_observation(int(event[0]), bool(event[1]))
             for patch_id, delta in response["fired"].items():
-                ledger.fold_fired(int(patch_id), int(delta))
+                self._fold_fired(int(patch_id), int(delta))
         except (TypeError, KeyError, ValueError, IndexError,
                 AttributeError) as error:
             self._fail("malformed", op, str(error), cause=error)
@@ -1060,6 +916,23 @@ class ChannelMember:
             self._fail("error", op, str(response.get("error",
                                                      "unspecified")))
         return response
+
+    def _patch(self, patch_id: int) -> Patch | None:
+        """The canonical patch a worker-reported id names."""
+        patch = self.held.get(patch_id)
+        return self._trial_patches.get(patch_id) if patch is None else patch
+
+    def _fold_observation(self, patch_id: int, satisfied: bool) -> None:
+        patch = self._patch(patch_id)
+        if isinstance(patch, CheckPatch) and patch.sink is not None:
+            patch.sink.record(Observation(
+                failure_id=patch.failure_id, invariant=patch.invariant,
+                satisfied=satisfied))
+
+    def _fold_fired(self, patch_id: int, delta: int) -> None:
+        patch = self._patch(patch_id)
+        if patch is not None and hasattr(patch, "fired"):
+            patch.fired += delta
 
     def _expect(self, op: str, extract):
         """Pull fields out of a reply; a reply missing what the protocol
@@ -1080,12 +953,8 @@ class ChannelMember:
     def _drop(self, reason: str, op: str, detail: str) -> None:
         self.alive = False
         self._pending.clear()
-        # Release this casualty's holds on the canonical patch ledger;
-        # survivors holding the same patches keep the entries live.
-        ledger = self._transport.ledger
-        for patch_id in self._ledger_ids:
-            ledger.release(patch_id)
-        self._ledger_ids = []
+        self.held = {}
+        self._trial_patches = {}
         self._transport.dropped.append(
             DroppedMember(name=self.name, reason=reason, op=op,
                           detail=detail))
@@ -1161,22 +1030,12 @@ class ChannelMember:
                             wire.run_result_from_dict(response["result"]))
 
     def install_patch(self, patch: Patch) -> None:
-        # Encode first: a patch with no wire form must not register.
-        payload = wire.patch_to_dict(patch)
-        ledger = self._transport.ledger
-        ledger.register(patch)
-        self._ledger_ids.append(patch.patch_id)
-        self.call("install-patch", patch=payload, epoch=ledger.epoch)
-        self.acked_epoch = ledger.epoch
+        self.call("install-patch", patch=wire.patch_to_dict(patch))
+        self.held[patch.patch_id] = patch
 
     def remove_patch(self, patch: Patch) -> None:
-        ledger = self._transport.ledger
-        self.call("remove-patch", patch_id=patch.patch_id,
-                  epoch=ledger.epoch)
-        if patch.patch_id in self._ledger_ids:
-            self._ledger_ids.remove(patch.patch_id)
-        ledger.unregister(patch)
-        self.acked_epoch = ledger.epoch
+        self.call("remove-patch", patch_id=patch.patch_id)
+        self.held.pop(patch.patch_id, None)
 
     def revoke_patch(self, patch: Patch) -> bool:
         """Idempotent removal for revocation waves.
@@ -1185,16 +1044,9 @@ class ChannelMember:
         patch acknowledges (``held`` False) instead of being dropped
         as errored.  Returns whether the member actually held it.
         """
-        ledger = self._transport.ledger
-        response = self.call("revoke-patch", patch_id=patch.patch_id,
-                             epoch=ledger.epoch)
-        held = bool(response.get("held"))
-        if held:
-            if patch.patch_id in self._ledger_ids:
-                self._ledger_ids.remove(patch.patch_id)
-            ledger.unregister(patch)
-        self.acked_epoch = ledger.epoch
-        return held
+        response = self.call("revoke-patch", patch_id=patch.patch_id)
+        self.held.pop(patch.patch_id, None)
+        return bool(response.get("held"))
 
     def applied_patches(self) -> list[dict]:
         response = self.call("applied-patches")
@@ -1203,27 +1055,16 @@ class ChannelMember:
 
     def start_evaluate_candidate(self, patches: list[Patch],
                                  payload: bytes) -> None:
-        for patch in patches:
-            self._transport.ledger.register(patch)
-        self._trial_patches = list(patches)
-        try:
-            self.post("evaluate-candidate",
-                      patches=[wire.patch_to_dict(patch)
-                               for patch in patches],
-                      payload=payload.hex())
-        except MemberFailure:
-            for patch in self._trial_patches:
-                self._transport.ledger.unregister(patch)
-            self._trial_patches = []
-            raise
+        self.post("evaluate-candidate",
+                  patches=[wire.patch_to_dict(patch) for patch in patches],
+                  payload=payload.hex())
+        self._trial_patches = {patch.patch_id: patch for patch in patches}
 
     def finish_evaluate_candidate(self) -> RunResult:
         try:
             response = self.collect()
         finally:
-            for patch in self._trial_patches:
-                self._transport.ledger.unregister(patch)
-            self._trial_patches = []
+            self._trial_patches = {}
         return self._expect("evaluate-candidate", lambda:
                             wire.run_result_from_dict(response["result"]))
 
@@ -1319,7 +1160,11 @@ class ChannelTransport:
         self.heartbeat_interval = heartbeat_interval
         self.ping_timeout = self.op_timeouts["ping"]
         self._bus = MessageBus()
-        self.ledger = PatchLedger()
+        #: The community's live patches in install order: the one
+        #: record of which patches are live (``CommunityEnvironment``
+        #: reads and writes it), and what :meth:`admit` reconciles a
+        #: member against.
+        self.patches: list[Patch] = []
         self.members: list[ChannelMember] = []
         self.dropped: list[DroppedMember] = []
         self._closed = False
@@ -1394,15 +1239,9 @@ class ChannelTransport:
             suspects.append(member)
         for member in suspects:
             try:
-                response = member.collect()
+                member.collect()
             except MemberFailure:
                 evicted.append(member.name)
-                continue
-            epoch = response.get("epoch")
-            if isinstance(epoch, int) and not isinstance(epoch, bool):
-                member.acked_epoch = epoch
-        if evicted:
-            self._compact_ledger()
         return evicted
 
     def poll_rejoins(self, budget: float = 0.0) -> list["ChannelMember"]:
@@ -1411,24 +1250,22 @@ class ChannelTransport:
 
     def admit(self, member: ChannelMember,
               channel: FramedChannel | LoopbackChannel, process=None,
-              epoch: int = 0) -> bool:
+              held: typing.Iterable[int] = ()) -> bool:
         """The one way into the community: first spawn, respawn, rejoin
         and late arrival all come through here.
 
         1. Reap the member's old channel and process (a *process* the
            transport launched for this admission is kept) and adopt
            the new ones.
-        2. Register the member's ledger holds for the live patch set,
-           before any command, so a drop mid-replay releases exactly
-           them and the survivors' refcounts stay intact.
-        3. Replay the net ledger deltas since *epoch* as one
-           ``catch-up`` command — only when *epoch* is behind the
-           ledger: a member at the ledger's epoch already holds the
-           live set, and a first admission (epoch 0 on an empty
-           ledger) sends nothing.
-        4. Record the acknowledged epoch, then compact the ledger.
+        2. Reconcile the member against *held*, the ids of the patches
+           it holds (its hello's list; none for a fresh process): one
+           ``catch-up`` command carries the held ids the community no
+           longer has and the live patches the member lacks, in install
+           order.  It is sent only when one of the two is non-empty, so
+           a first spawn sends nothing.
 
-        Returns False when the member was dropped during catch-up.
+        The member's record is the live set from here on.  Returns False
+        when the member was dropped during catch-up.
         """
         member._terminate(keep=process)
         member.channel = channel
@@ -1438,107 +1275,20 @@ class ChannelTransport:
         member._last_reply_at = member.last_activity = _monotonic()
         if member not in self.members:
             self.members.append(member)
-        ledger = self.ledger
-        live = ledger.live_at(ledger.epoch)
-        for patch in live:
-            ledger.register(patch)
-        member._ledger_ids = [patch.patch_id for patch in live]
-        if epoch < ledger.epoch:
-            removes, installs = ledger.deltas_since(epoch)
+        held = list(held)
+        member.held = {patch.patch_id: patch for patch in self.patches}
+        removes = [patch_id for patch_id in held
+                   if patch_id not in member.held]
+        installs = [patch for patch in self.patches
+                    if patch.patch_id not in held]
+        if removes or installs:
             try:
                 member.call("catch-up", **wire.catch_up_to_dict(
                     removes, [wire.patch_to_dict(patch)
-                              for patch in installs], ledger.epoch))
+                              for patch in installs]))
             except MemberFailure:
                 return False
-        member.acked_epoch = ledger.epoch
-        self._compact_ledger()
         return True
-
-    def _compact_ledger(self) -> None:
-        """Forget journal pairs no member could still need replayed.
-
-        The floor is the smallest acknowledged epoch across members
-        (fresh members announce epoch 0, which is always
-        compaction-safe — see :meth:`PatchLedger.compact`); members
-        that never acknowledged an epoch hold no patches and impose no
-        floor.
-        """
-        floor = self.ledger.epoch
-        for member in self.members:
-            if member.acked_epoch > 0:
-                floor = min(floor, member.acked_epoch)
-        self.ledger.compact(floor)
-
-    # -- reply multiplexing --------------------------------------------
-
-    def _await_reply(self, member: ChannelMember,
-                     timeout: float | None) -> bytes:
-        """Block until *member* has a complete reply frame, pumping every
-        sibling channel meanwhile.
-
-        This is what makes the scatter/gather genuinely asynchronous:
-        while the server absorbs members in deterministic dispatch
-        order, the other members' replies keep streaming into their
-        channel buffers, so a slow member never blocks reception — and
-        the server's correlation/merge work on early repliers overlaps
-        the stragglers' still-running shards.
-
-        Deadlines: *timeout* bounds time-to-first-byte of the reply;
-        once the frame starts, the channel's frame deadline bounds its
-        completion (the wedged-mid-write window).
-        """
-        channel = member.channel
-        start = _monotonic()
-        while True:
-            # Pump before evaluating any deadline (same invariant as
-            # FramedChannel.recv_frame): a reply that fully arrived in
-            # the kernel buffer while the server was busy absorbing a
-            # sibling must be surfaced, not timed out.
-            if not channel.closed:
-                channel.pump()
-            if channel.has_frame():
-                return channel.pop_frame()
-            if channel.at_eof or channel.closed:
-                raise ChannelClosed(mid_frame=bool(channel._buffer))
-            now = _monotonic()
-            frame_deadline = channel.partial_frame_deadline()
-            if frame_deadline is not None and now >= frame_deadline:
-                raise ChannelTimeout(
-                    f"reply frame stalled mid-receive (no complete frame "
-                    f"within {channel.frame_deadline:.1f}s of its first "
-                    f"byte)", mid_frame=True)
-            waits = []
-            if frame_deadline is not None:
-                waits.append(frame_deadline - now)
-            elif timeout is not None:
-                remaining = timeout - (now - start)
-                if remaining <= 0:
-                    raise ChannelTimeout(f"no reply within "
-                                         f"{max(timeout, 0.0):.1f}s")
-                waits.append(remaining)
-            # EOF'd channels are permanently select-readable with no
-            # progress to make; including one would busy-spin the wait.
-            peers = [peer.channel for peer in self.members
-                     if peer.alive and peer.channel is not None
-                     and not peer.channel.closed
-                     and not peer.channel.at_eof
-                     and (peer is member or peer.pending_ops)]
-            try:
-                readable, _, _ = select.select(
-                    peers, [], [], max(0.0, min(waits)) if waits else 1.0)
-            except (OSError, ValueError):
-                # A peer's fd died mid-select; retry against the
-                # survivors (the dead peer raises at its own collect).
-                readable = [ch for ch in peers
-                            if not ch.closed and _can_pump(ch)]
-            for ready in readable:
-                try:
-                    ready.pump()
-                except ChannelError:
-                    if ready is channel:
-                        raise
-                    # A sibling's failure surfaces when it is collected.
 
     # -- pool management -----------------------------------------------
 
@@ -1577,21 +1327,13 @@ class ChannelTransport:
             pass
 
 
-def _can_pump(channel: FramedChannel) -> bool:
-    try:
-        channel.fileno()
-    except (OSError, ValueError):
-        return False
-    return True
-
-
 class LoopbackTransport(ChannelTransport):
     """In-process members (``transport="in-process"``).
 
     Each member is a :class:`ChannelMember` over a
     :class:`LoopbackChannel`: the worker's own command handler and patch
     bookkeeping, run in the server's interpreter.  Everything else — the
-    wire codec, :class:`PatchLedger` fold-back, byte accounting and
+    wire codec, the fold-back into held patches, byte accounting and
     member lifecycle — is the channel transports' code, so the
     in-process community differs from the sharded ones only in having no
     worker processes: it is single-core, deterministic, and cannot
@@ -1606,11 +1348,6 @@ class LoopbackTransport(ChannelTransport):
         for name in names:
             self.admit(ChannelMember(self, name, binary),
                        LoopbackChannel(name, binary, config))
-
-    def _await_reply(self, member: ChannelMember,
-                     timeout: float | None) -> bytes:
-        # The reply was queued when the command was sent.
-        return member.channel.recv_frame()
 
 
 # ---------------------------------------------------------------------------
@@ -1661,14 +1398,13 @@ def connect_member(host: str, port: int, name: str,
                    cafile: str | None = None,
                    frame_deadline: float = 30.0,
                    connect_timeout: float = 10.0,
-                   epoch: int = 0) -> FramedChannel:
+                   held: typing.Iterable[int] = ()) -> FramedChannel:
     """Dial a listening community server and introduce this member.
 
-    Returns the established (optionally TLS) channel with the
-    epoch-stamped hello frame already sent (*epoch* is the member's
-    last acknowledged ledger epoch — 0 for a fresh process);
-    :func:`run_member` drives the full command loop for externally
-    launched members.
+    Returns the established (optionally TLS) channel with the hello
+    frame already sent (*held* lists the ids of the patches the member
+    holds — none for a fresh process); :func:`run_member` drives the
+    full command loop for externally launched members.
     """
     deadline = _monotonic() + connect_timeout
     last_error: Exception | None = None
@@ -1690,7 +1426,7 @@ def connect_member(host: str, port: int, name: str,
         sock.settimeout(frame_deadline)
         sock = context.wrap_socket(sock)
     channel = FramedChannel(sock, frame_deadline=frame_deadline)
-    channel.send_frame(wire.encode(wire.hello_to_dict(name, epoch)),
+    channel.send_frame(wire.encode(wire.hello_to_dict(name, held)),
                        timeout=frame_deadline)
     return channel
 
@@ -1708,10 +1444,10 @@ def run_member(host: str, port: int, name: str, binary: Binary,
     ``reconnect`` is how many times a lost server connection is
     re-dialed, with exponential backoff starting at *backoff* seconds
     and capped at *backoff_cap*.  A reconnect keeps the worker session
-    (node state, installed patches, warm caches) and announces the last
-    acknowledged ledger epoch in its hello, so the server replays only
-    the patch deltas this member actually missed.  A polite shutdown
-    from the server always ends the loop.
+    (node state, installed patches, warm caches) and lists the patches
+    it holds in its hello, so admission sends only what the community
+    changed while it was away.  A polite shutdown from the server always
+    ends the loop.
     """
     state: _WorkerState | None = None
     attempts_left = reconnect
@@ -1722,7 +1458,7 @@ def run_member(host: str, port: int, name: str, binary: Binary,
                 host, port, name, cafile=cafile,
                 frame_deadline=frame_deadline,
                 connect_timeout=connect_timeout,
-                epoch=0 if state is None else state.patch_epoch)
+                held=() if state is None else list(state.installed))
         except CommunityError:
             if attempts_left <= 0:
                 raise
@@ -1770,7 +1506,6 @@ class SocketTransport(ChannelTransport):
                  certfile: str | None = None, keyfile: str | None = None,
                  accept_external: bool = False,
                  spawn_timeout: float = 60.0,
-                 start_method: str = "fork",
                  _plaintext_members: frozenset[str] = frozenset()):
         super().__init__(timeout=timeout, learn_timeout=learn_timeout,
                          run_timeout=run_timeout,
@@ -1788,7 +1523,7 @@ class SocketTransport(ChannelTransport):
         #: TLS server, forcing a handshake failure.
         self._plaintext_members = frozenset(_plaintext_members)
         try:
-            self._context = multiprocessing.get_context(start_method)
+            self._context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             self._context = multiprocessing.get_context()
         self._listener: socket.socket | None = None
@@ -1901,7 +1636,7 @@ class SocketTransport(ChannelTransport):
         spawn placeholder, or joins as a new member in
         ``accept_external`` mode after spawn; a live member's name, or
         an unknown one with nowhere to go, is refused.  Admission
-        replays the net ledger deltas since the hello's epoch
+        reconciles the member against the patches its hello lists
         (:meth:`ChannelTransport.admit`).
         """
         assert self._listener is not None
@@ -1923,7 +1658,7 @@ class SocketTransport(ChannelTransport):
             channel = FramedChannel(conn, frame_deadline=self.frame_deadline)
             hello = wire.decode(
                 channel.recv_frame(timeout=self.frame_deadline))
-            name, epoch = wire.hello_from_dict(hello)
+            name, held = wire.hello_from_dict(hello)
         except (OSError, ChannelError, wire.WireError):
             conn.close()
             return None
@@ -1951,7 +1686,7 @@ class SocketTransport(ChannelTransport):
         process = member.process
         if process is not None and not process.is_alive():
             process = None
-        if not self.admit(member, channel, process, epoch):
+        if not self.admit(member, channel, process, held):
             return None
         return member
 
@@ -1961,8 +1696,8 @@ class SocketTransport(ChannelTransport):
 
         Only spawned (loopback) members can be relaunched — externally
         started members own their lifecycle and rejoin on their own.
-        The fresh process dials the listener and the accept loop
-        admits it (hello epoch 0, full live-set catch-up).
+        The fresh process dials the listener holding nothing, and the
+        accept loop admits it with the live set as its catch-up.
         """
         if self.accept_external or self._binary is None or \
                 self._listener is None or self._closed:

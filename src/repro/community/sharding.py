@@ -13,10 +13,10 @@ worker through an ordinary
 :class:`~repro.community.remote.ChannelMember`: commands and replies
 cross the channel as length-prefixed canonical JSON
 (:mod:`repro.community.wire`) and are logged on the transport with their
-true on-wire frame size, and the transport's
-:class:`~repro.community.remote.PatchLedger` folds worker-reported state
-(check observations, repair ``fired`` deltas) back into the canonical
-server-side patch objects — the same path the in-process members take.
+true on-wire frame size, and each member's handle folds worker-reported
+state (check observations, repair ``fired`` deltas) back into the
+canonical server-side patch objects it holds — the same path the
+in-process members take.
 
 Failure policy: a worker that crashes (channel EOF), hangs (no reply
 within the per-op deadline, *or* a reply frame that stops making
@@ -30,10 +30,10 @@ survivors.  Workers are daemonic and :meth:`ProcessTransport.close` is
 idempotent, so no code path leaves orphan processes behind.
 
 Every worker joins through
-:meth:`~repro.community.remote.ChannelTransport.admit`: spawn admits
-each fresh worker at epoch 0 (on an empty ledger, with no catch-up),
-and :meth:`ProcessTransport.respawn` admits a relaunched one at epoch
-0, which replays the live patch set.  Liveness probing runs only at the
+:meth:`~repro.community.remote.ChannelTransport.admit`, holding nothing:
+spawn admits each fresh worker with no catch-up (nothing is live yet),
+and :meth:`ProcessTransport.respawn` admits a relaunched one with the
+live patch set as its catch-up.  Liveness probing runs only at the
 manager's wave edges; the transport starts no thread.
 """
 
@@ -72,8 +72,7 @@ class ProcessTransport(ChannelTransport):
                  run_timeout: float | None = None,
                  frame_deadline: float = 30.0, pipeline_depth: int = 4,
                  heartbeat_interval: float | None = None,
-                 ping_timeout: float | None = None,
-                 start_method: str = "fork"):
+                 ping_timeout: float | None = None):
         super().__init__(timeout=timeout, learn_timeout=learn_timeout,
                          run_timeout=run_timeout,
                          frame_deadline=frame_deadline,
@@ -81,7 +80,7 @@ class ProcessTransport(ChannelTransport):
                          heartbeat_interval=heartbeat_interval,
                          ping_timeout=ping_timeout)
         try:
-            self._context = multiprocessing.get_context(start_method)
+            self._context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             self._context = multiprocessing.get_context()
         # Stashed at spawn so a member lost to a patch-induced fault
@@ -116,9 +115,9 @@ class ProcessTransport(ChannelTransport):
                 timeout: float | None = None) -> bool:
         """Relaunch a dropped member as a fresh worker process.
 
-        The new process starts with nothing installed (hello epoch 0
-        semantics); the full live patch set is replayed through the
-        ledger catch-up before the member returns to dispatch.
+        The new process starts with nothing installed; admission sends
+        it the live patch set in one catch-up before the member returns
+        to dispatch.
         """
         if self._binary is None or self._closed or \
                 member not in self.members:

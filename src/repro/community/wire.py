@@ -23,6 +23,10 @@ therefore ships *structure*, not state:
   events back to the server);
 - ``fired`` is never shipped — workers report deltas and the server folds
   them into the canonical patch objects.
+
+Membership needs two more frames.  A member's hello lists the ids of the
+patches it holds, and the admission ``catch-up`` carries the held ids
+the community no longer has and the live patches the member lacks.
 """
 
 from __future__ import annotations
@@ -69,67 +73,59 @@ def decode(raw: bytes) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Membership (hello / rejoin catch-up)
+# Membership (hello / admission catch-up)
 # ---------------------------------------------------------------------------
 
-def hello_to_dict(name: str, epoch: int = 0) -> dict:
-    """The epoch-stamped hello a member introduces itself with.
+def hello_to_dict(name: str, held: typing.Iterable[int] = ()) -> dict:
+    """The hello a member introduces itself with.
 
-    ``epoch`` is the member's last *acknowledged* patch-ledger epoch:
-    0 for a fresh process (nothing installed), the epoch stamped on the
-    last install/remove command it processed for a member reconnecting
-    with state intact.  The server replays exactly the ledger deltas
-    after this epoch before re-admitting the member.
+    ``held`` lists the ids of the patches the member holds: none for a
+    fresh process, its installed patches for a member reconnecting with
+    its session intact.  Admission reconciles the member against them.
     """
-    return {"op": "hello", "name": name, "epoch": int(epoch)}
+    return {"op": "hello", "name": name,
+            "held": [int(patch_id) for patch_id in held]}
 
 
-def hello_from_dict(payload: dict) -> tuple[str, int]:
-    """Validate a hello frame; returns ``(name, acked epoch)``."""
+def _patch_ids(payload: dict, field: str) -> list[int]:
+    ids = payload.get(field)
+    if not isinstance(ids, list) or not all(
+            isinstance(patch_id, int) and not isinstance(patch_id, bool)
+            for patch_id in ids):
+        raise WireError(f"{field} must be a list of integer patch ids")
+    return ids
+
+
+def hello_from_dict(payload: dict) -> tuple[str, list[int]]:
+    """Validate a hello frame; returns ``(name, held patch ids)``."""
     if not isinstance(payload, dict) or payload.get("op") != "hello":
         raise WireError(f"not a hello frame: {payload!r}")
     name = payload.get("name")
     if not isinstance(name, str) or not name:
         raise WireError(f"hello without a member name: {payload!r}")
-    epoch = payload.get("epoch", 0)
-    if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
-        raise WireError(f"bad hello epoch {epoch!r}")
-    return name, epoch
+    return name, _patch_ids(payload, "held")
 
 
-def catch_up_to_dict(removes: list[int], installs: list[dict],
-                     epoch: int) -> dict:
-    """The ledger-delta payload a rejoining member replays.
+def catch_up_to_dict(removes: list[int], installs: list[dict]) -> dict:
+    """The admission command that reconciles a member's patches.
 
-    ``removes`` are patch ids the member still holds that the community
-    has since withdrawn; ``installs`` are wire-form patches
-    (:func:`patch_to_dict`) it missed; ``epoch`` is the ledger epoch the
-    member acknowledges by applying them.  Removes are ordered before
-    installs — a remove can only refer to a pre-rejoin install, while an
-    install may reuse a just-freed patch id.
+    ``removes`` are ids the member holds that the community no longer
+    has; ``installs`` are the wire-form live patches
+    (:func:`patch_to_dict`) it lacks, in install order.  The member
+    applies the removes first.
     """
     return {"removes": [int(patch_id) for patch_id in removes],
-            "installs": list(installs), "epoch": int(epoch)}
+            "installs": list(installs)}
 
 
-def catch_up_from_dict(payload: dict) -> tuple[list[int], list[dict], int]:
-    """Validate a catch-up command; returns (removes, installs, epoch)."""
-    try:
-        removes = payload["removes"]
-        installs = payload["installs"]
-        epoch = payload["epoch"]
-    except (KeyError, TypeError) as error:
-        raise WireError(f"malformed catch-up payload: {error}") from error
-    if not isinstance(removes, list) or not isinstance(installs, list):
-        raise WireError("catch-up removes/installs must be lists")
-    if not all(isinstance(patch_id, int) and not isinstance(patch_id, bool)
-               for patch_id in removes):
-        raise WireError("catch-up removes must be integer patch ids")
-    if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
-        raise WireError(f"bad catch-up epoch {epoch!r}")
-    if not all(isinstance(entry, dict) for entry in installs):
-        raise WireError("catch-up installs must be patch payloads")
-    return removes, installs, epoch
+def catch_up_from_dict(payload: dict) -> tuple[list[int], list[dict]]:
+    """Validate a catch-up command; returns (removes, installs)."""
+    installs = payload.get("installs")
+    if not isinstance(installs, list) or \
+            not all(isinstance(entry, dict) for entry in installs):
+        raise WireError("catch-up installs must be a list of patch "
+                        "payloads")
+    return _patch_ids(payload, "removes"), installs
 
 
 # ---------------------------------------------------------------------------

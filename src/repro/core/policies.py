@@ -51,7 +51,9 @@ class AdaptiveProtection:
     _quiet_streak: int = 0
 
     def __post_init__(self):
-        self._relax()
+        # Start cheap without counting a relaxation, whatever
+        # configuration the wrapped environment was built with.
+        self._configure_cheap()
 
     # -- state queries ---------------------------------------------------
 
@@ -79,11 +81,14 @@ class AdaptiveProtection:
         self._quiet_streak = 0
 
     def _relax(self) -> None:
+        if self.elevated:
+            self.relaxations += 1
+        self._configure_cheap()
+
+    def _configure_cheap(self) -> None:
+        """Memory Firewall only."""
         environment_config = self.clearview.environment.config
         environment_config.memory_firewall = True
-        if environment_config.heap_guard or \
-                environment_config.shadow_stack:
-            self.relaxations += 1
         environment_config.heap_guard = False
         environment_config.shadow_stack = False
 

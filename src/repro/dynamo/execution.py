@@ -95,9 +95,6 @@ class EnvironmentConfig:
     #: version; a stale file raises
     #: :class:`~repro.errors.SnapshotError` at launch.
     load_snapshot: str | None = None
-    #: Path the environment writes its cache state to after each run —
-    #: the §4.4.5 "save" half; pair with ``load_snapshot`` elsewhere.
-    save_snapshot: str | None = None
 
     @classmethod
     def bare(cls) -> "EnvironmentConfig":
@@ -260,9 +257,6 @@ class ManagedEnvironment:
         cache = self.last_code_cache
         if self.config.reuse_cache and cache is not None:
             self._cache_snapshot = cache.snapshot()
-        if self.config.save_snapshot and cache is not None:
-            from repro.dynamo.snapshot import save_snapshot
-            save_snapshot(self.config.save_snapshot, cache, self.binary)
         stats = {
             "steps": cpu.steps,
             "block_builds": cache.builds if cache else 0,

@@ -56,34 +56,15 @@ SCHEMA_VERSION = 3
 ENGINE_VERSION = "superblock-trace-3"
 
 
-def snapshot_to_dict(cache, binary: Binary | None = None,
-                     ledger_epoch: int | None = None) -> dict:
+def snapshot_to_dict(cache, binary: Binary | None = None) -> dict:
     """Serialise *cache* (a :class:`CodeCache`) plus the binary's trace
-    heat into the versioned snapshot payload.
-
-    ``ledger_epoch`` optionally stamps the community patch-ledger epoch
-    the snapshot was taken at (a community server folding state into
-    the shared warm-start file records how current it is; a rejoining
-    member can tell which deltas a warm start already covers).  The
-    field is *omitted* when None, so standalone snapshots stay
-    byte-identical to earlier kernels'.
-    """
+    heat into the versioned snapshot payload."""
     if binary is None:
         binary = cache.block_map.binary
     profile = binary._trace_profile or {}
     paths = binary._trace_paths or {}
     edges = binary._edge_profile or {}
-    if ledger_epoch is not None:
-        if isinstance(ledger_epoch, bool) or \
-                not isinstance(ledger_epoch, int) or ledger_epoch < 0:
-            raise SnapshotError(
-                f"ledger_epoch must be a non-negative integer, "
-                f"got {ledger_epoch!r}")
-        extra = {"ledger_epoch": ledger_epoch}
-    else:
-        extra = {}
     return {
-        **extra,
         "schema": SCHEMA_VERSION,
         "engine": ENGINE_VERSION,
         "binary": binary.content_digest(),
@@ -119,11 +100,6 @@ def snapshot_from_dict(payload: dict, binary: Binary
     except (TypeError, KeyError) as error:
         raise SnapshotError(f"snapshot is missing field {error}") \
             from error
-    epoch = payload.get("ledger_epoch", 0)
-    if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
-        raise SnapshotError(
-            f"snapshot ledger_epoch {epoch!r} is not a non-negative "
-            f"integer")
     if schema != SCHEMA_VERSION:
         raise SnapshotError(
             f"snapshot schema {schema!r} is not the supported "
@@ -174,17 +150,13 @@ def snapshot_from_dict(payload: dict, binary: Binary
     return tuple(block_map.blocks.values())
 
 
-def encode_snapshot(cache, binary: Binary | None = None,
-                    ledger_epoch: int | None = None) -> bytes:
+def encode_snapshot(cache, binary: Binary | None = None) -> bytes:
     """Canonical snapshot bytes (sorted keys, no whitespace)."""
-    return json.dumps(snapshot_to_dict(cache, binary,
-                                       ledger_epoch=ledger_epoch),
-                      sort_keys=True,
+    return json.dumps(snapshot_to_dict(cache, binary), sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
 
 
-def save_snapshot(path, cache, binary: Binary | None = None,
-                  ledger_epoch: int | None = None) -> int:
+def save_snapshot(path, cache, binary: Binary | None = None) -> int:
     """Write *cache*'s state to *path*; returns the byte count.
 
     Crash-safe: the bytes land in a temporary file in the target
@@ -194,7 +166,7 @@ def save_snapshot(path, cache, binary: Binary | None = None,
     truncated snapshot where other members expect a valid one — the
     prior snapshot survives untouched.
     """
-    data = encode_snapshot(cache, binary, ledger_epoch=ledger_epoch)
+    data = encode_snapshot(cache, binary)
     target = pathlib.Path(path)
     directory = target.parent if str(target.parent) else pathlib.Path(".")
     fd, temp_name = tempfile.mkstemp(dir=str(directory),
@@ -211,18 +183,6 @@ def save_snapshot(path, cache, binary: Binary | None = None,
             pass
         raise
     return len(data)
-
-
-def snapshot_ledger_epoch(payload: dict) -> int:
-    """The community ledger epoch a snapshot payload was stamped with
-    (0 when the snapshot predates any community patch activity or was
-    saved outside a community)."""
-    epoch = payload.get("ledger_epoch", 0)
-    if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
-        raise SnapshotError(
-            f"snapshot ledger_epoch {epoch!r} is not a non-negative "
-            f"integer")
-    return epoch
 
 
 def read_snapshot(path) -> dict:

@@ -265,11 +265,23 @@ class TestEveryCandidateVetoed:
         for _ in range(4):
             assert protection.run(attack_page()).outcome is Outcome.FAILURE
         assert protection.elevated
-        relaxations = protection.relaxations
         for _ in range(protection.config.quiet_runs_to_relax):
             assert protection.run(page(1)).outcome is Outcome.COMPLETED
         assert not protection.elevated
-        assert protection.relaxations == relaxations + 1
+        assert protection.relaxations == 1
+
+
+class TestAdaptiveProtectionStart:
+    def test_starts_cheap_without_counting_a_relaxation(self, protected):
+        """Wrapping an environment built with every monitor on
+        (``EnvironmentConfig.full()``) puts it in the cheap
+        configuration; nothing has been relaxed yet."""
+        binary, clearview = protected
+        assert clearview.environment.config.heap_guard
+        protection = AdaptiveProtection(clearview)
+        assert not protection.elevated
+        assert protection.relaxations == 0
+        assert protection.escalations == 0
 
 
 class TestOneJudge:

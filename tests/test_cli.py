@@ -101,16 +101,3 @@ class TestLifecycleFlags:
         assert args.heartbeat_interval == 0.5
         assert args.min_members == 2
         assert args.reconnect == 3
-
-    def test_stamped_snapshot_info_shows_ledger_epoch(self, capsys,
-                                                      tmp_path):
-        import json
-
-        path = tmp_path / "cache.json"
-        assert main(["snapshot", "save", str(path)]) == 0
-        capsys.readouterr()
-        payload = json.loads(path.read_text())
-        payload["ledger_epoch"] = 4
-        path.write_text(json.dumps(payload))
-        assert main(["snapshot", "info", str(path)]) == 0
-        assert "ledger epoch: 4" in capsys.readouterr().out

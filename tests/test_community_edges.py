@@ -82,17 +82,16 @@ class TestCommunityEnvironment:
     @pytest.mark.parametrize("transport", ["in-process", "process"])
     def test_patch_without_wire_form_changes_nothing(self, browser,
                                                      transport):
-        """A patch no member could be sent is refused before the patch
-        list, the ledger (the rejoin journal) or any member changes."""
+        """A patch no member could be sent is refused before the live
+        patch list, any member's record or any member changes."""
         with CommunityManager(browser, members=2,
                               transport=transport) as manager:
             environment = manager.environment
-            ledger = manager.transport.ledger
             environment.install_patch(PokePatch(pc=0))
 
             def observed():
-                return (list(environment.patches), ledger.epoch,
-                        list(ledger.history), ledger.live_entries(),
+                return (list(environment.patches),
+                        [list(member.held) for member in manager.members],
                         [member.applied_patches()
                          for member in manager.members])
 

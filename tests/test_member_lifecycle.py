@@ -7,9 +7,9 @@ worker wedged between commands (SIGSTOPped with nothing in flight —
 invisible to every reply deadline) is evicted before work goes to it,
 and no thread ever runs beside the server's; every member enters
 through one admission path, so a killed member can relaunch (or, on
-the socket transport, dial back and announce its last acknowledged
-patch epoch in its hello), catch up on exactly the ledger deltas it
-missed, and serve subsequent waves; and the manager enforces a quorum
+the socket transport, dial back and list the patches it holds in its
+hello), catch up on exactly what the community changed while it was
+away, and serve subsequent waves; and the manager enforces a quorum
 floor while reporting degraded-mode status for everything above it.
 
 The churn tests are differential: an episode peppered with seeded
@@ -34,13 +34,12 @@ import pytest
 from repro.apps import learning_pages
 from repro.community import (
     CommunityManager,
-    PatchLedger,
     ProcessTransport,
     SocketTransport,
     run_member,
 )
 from repro.dynamo import Outcome
-from repro.dynamo.patches import Patch, PokePatch
+from repro.dynamo.patches import PokePatch
 from repro.errors import CommunityError
 from repro.redteam import exploit
 
@@ -88,6 +87,15 @@ def assert_no_orphans(manager) -> None:
             f"worker {member.name} left running"
 
 
+def catch_ups(transport, name: str, mark: int = 0) -> list:
+    """The catch-up commands sent to member *name* after log position
+    *mark*, each as (removed ids, installed patch ids)."""
+    return [(message.payload["removes"],
+             [patch["patch_id"] for patch in message.payload["installs"]])
+            for message in transport.log[mark:]
+            if message.kind == "cmd:catch-up" and message.recipient == name]
+
+
 def run_episode(manager, presentations: int = 8) -> dict:
     """Learn, protect, attack until patched; return the observables the
     churn tests compare against a fault-free reference."""
@@ -107,92 +115,6 @@ def run_episode(manager, presentations: int = 8) -> dict:
         "patches": [member.applied_patches()
                     for member in manager.environment.alive_members()],
     }
-
-
-# ---------------------------------------------------------------------------
-# The epoch-stamped rejoin journal
-# ---------------------------------------------------------------------------
-
-class TestPatchLedgerJournal:
-    def make_patches(self, count: int = 3) -> list[Patch]:
-        return [Patch(pc=index * 4) for index in range(count)]
-
-    def test_epochs_are_monotonic(self):
-        ledger = PatchLedger()
-        first, second = self.make_patches(2)
-        assert ledger.log_install(first) == 1
-        assert ledger.log_install(second) == 2
-        assert ledger.log_remove(first) == 3
-        assert ledger.epoch == 3
-
-    def test_deltas_net_out_install_remove_pairs(self):
-        """An install the window later removed replays to nothing: the
-        member never saw it and must not transiently hold it."""
-        ledger = PatchLedger()
-        doomed, kept = self.make_patches(2)
-        ledger.log_install(doomed)
-        ledger.log_install(kept)
-        ledger.log_remove(doomed)
-        removes, installs = ledger.deltas_since(0)
-        assert removes == []
-        assert installs == [kept]
-
-    def test_deltas_replay_removes_the_member_saw(self):
-        ledger = PatchLedger()
-        patch, = self.make_patches(1)
-        ledger.log_install(patch)          # epoch 1: member acked this
-        ledger.log_remove(patch)           # epoch 2: missed
-        removes, installs = ledger.deltas_since(1)
-        assert removes == [patch.patch_id]
-        assert installs == []
-
-    def test_remove_then_reinstall_replays_in_order(self):
-        """A patch id removed and reinstalled across the window must
-        replay remove-first, so the reinstall lands cleanly."""
-        ledger = PatchLedger()
-        patch, = self.make_patches(1)
-        ledger.log_install(patch)          # epoch 1: acked
-        ledger.log_remove(patch)           # epoch 2: missed
-        ledger.log_install(patch)          # epoch 3: missed
-        removes, installs = ledger.deltas_since(1)
-        assert removes == [patch.patch_id]
-        assert installs == [patch]
-
-    def test_live_at_walks_the_journal(self):
-        ledger = PatchLedger()
-        first, second = self.make_patches(2)
-        ledger.log_install(first)
-        ledger.log_install(second)
-        ledger.log_remove(first)
-        assert ledger.live_at(1) == [first]
-        assert ledger.live_at(2) == [first, second]
-        assert ledger.live_at(3) == [second]
-
-    def test_compact_forgets_only_settled_pairs(self):
-        """A cancelled pair whose remove every member acked is dropped;
-        pairs any member might still need replayed survive, and the net
-        replay for every acknowledged epoch is unchanged."""
-        ledger = PatchLedger()
-        settled, pending, live = self.make_patches(3)
-        ledger.log_install(settled)        # 1
-        ledger.log_remove(settled)         # 2
-        ledger.log_install(live)           # 3
-        ledger.log_install(pending)        # 4
-        ledger.log_remove(pending)         # 5
-        before = {epoch: ledger.deltas_since(epoch) for epoch in (0, 3)}
-        ledger.compact(floor=3)
-        # The (1, 2) pair is gone; (4, 5)'s remove is above the floor.
-        assert [entry[0] for entry in ledger.history] == [3, 4, 5]
-        for epoch, expected in before.items():
-            assert ledger.deltas_since(epoch) == expected
-        assert ledger.live_at(ledger.epoch) == [live]
-
-    def test_compact_never_drops_an_unpaired_install(self):
-        ledger = PatchLedger()
-        patch, = self.make_patches(1)
-        ledger.log_install(patch)
-        ledger.compact(floor=1)
-        assert ledger.history and ledger.history[0][1] == "install"
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +198,10 @@ class TestHeartbeatLiveness:
 class TestRejoin:
     def test_killed_member_rejoins_and_catches_up(self, make_manager):
         """The acceptance scenario: a socket member killed after the
-        community patched itself relaunches, announces an epoch-0
-        hello, replays the net patch-ledger deltas, and serves
-        subsequent waves — with every episode observable bit-equal to
-        a fault-free in-process run."""
+        community patched itself relaunches holding nothing, is sent the
+        live patch set in one catch-up, and serves subsequent waves —
+        with every episode observable bit-equal to a fault-free
+        in-process run."""
         reference = run_episode(make_manager(members=3))
         manager = make_manager(members=3, transport=SocketTransport())
         observed = run_episode(manager)
@@ -313,8 +235,10 @@ class TestRejoin:
 
         assert victim.alive
         assert victim.state == "active"
-        assert victim.acked_epoch == transport.ledger.epoch
-        # Catch-up replayed the live patch set: the rejoiner holds
+        live = [patch.patch_id for patch in manager.environment.patches]
+        assert live
+        assert catch_ups(transport, victim.name) == [([], live)]
+        # Catch-up sent the live patch set: the rejoiner holds
         # exactly what the survivors hold (and the fault-free run did).
         survivor = manager.members[0]
         assert victim.applied_patches() == survivor.applied_patches()
@@ -373,34 +297,95 @@ class TestOneWayIn:
 
     @pytest.mark.parametrize("transport",
                              ("in-process",) + REAL_TRANSPORTS)
-    def test_spawn_admits_every_member_at_epoch_zero(self, make_manager,
-                                                     transport):
-        """A first admission is at epoch 0 on an empty ledger, so it
-        sends no catch-up."""
+    def test_first_spawn_sends_no_catch_up(self, make_manager, transport):
+        """A first admission holds nothing and nothing is live yet, so
+        it sends no catch-up."""
         manager = make_manager(members=2, transport=transport)
         assert [member.state for member in manager.members] == \
             ["active", "active"]
-        assert [member.acked_epoch for member in manager.members] == [0, 0]
+        assert [member.held for member in manager.members] == [{}, {}]
         assert "cmd:catch-up" not in manager.transport.count_by_kind()
 
     @pytest.mark.parametrize("transport", REAL_TRANSPORTS)
     def test_respawned_member_catches_up(self, make_manager, transport):
-        """A killed member, evicted and respawned, is admitted at epoch
-        0 and replays the live patch set in one catch-up."""
+        """A killed member, evicted and respawned, holds nothing and is
+        sent the live patch set in one catch-up, in install order."""
         manager = make_manager(members=2, transport=transport)
-        manager.environment.install_patch(PokePatch(pc=0))
+        environment = manager.environment
+        first, second, gone = (PokePatch(pc=0), PokePatch(pc=16),
+                               PokePatch(pc=32))
+        for patch in (second, gone, first):
+            environment.install_patch(patch)
+        environment.remove_patch(gone)
         victim, survivor = manager.members
         os.kill(victim.process.pid, signal.SIGKILL)
         victim.process.join(timeout=5)
         assert manager.transport.heartbeat(force=True) == [victim.name]
+        assert victim.held == {}
         assert manager.transport.respawn(victim) is True
         assert victim.state == "active"
-        assert victim.acked_epoch == manager.transport.ledger.epoch == 1
-        assert manager.transport.count_by_kind()["cmd:catch-up"] == 1
+        assert catch_ups(manager.transport, victim.name) == \
+            [([], [second.patch_id, first.patch_id])]
+        assert list(victim.held) == [second.patch_id, first.patch_id]
         assert victim.applied_patches() == survivor.applied_patches()
-        assert victim.applied_patches() != []
+        assert [summary["pc"] for summary in victim.applied_patches()] == \
+            [16, 0]
         manager.close()
         assert_no_orphans(manager)
+
+    def test_rejoin_with_held_patches_gets_what_it_missed(
+            self, browser, make_manager):
+        """A member that reconnects with its session intact lists the
+        patches it holds in its hello, and admission sends one catch-up
+        with exactly the removal and the install it missed."""
+        transport = SocketTransport(accept_external=True,
+                                    spawn_timeout=30.0)
+        host, port = transport.listen()
+        context = multiprocessing.get_context("fork")
+        workers = [context.Process(
+            target=run_member,
+            args=(host, port, name, browser.stripped()),
+            kwargs=kwargs, daemon=True)
+            for name, kwargs in (("rejoiner", {"reconnect": 1,
+                                               "backoff": 0.05}),
+                                 ("survivor", {}))]
+        for worker in workers:
+            worker.start()
+        try:
+            manager = make_manager(members=2, transport=transport)
+            by_name = {member.name: member for member in manager.members}
+            rejoiner, survivor = by_name["rejoiner"], by_name["survivor"]
+            environment = manager.environment
+            kept, removed, added = (PokePatch(pc=0), PokePatch(pc=16),
+                                    PokePatch(pc=32))
+            environment.install_patch(kept)
+            environment.install_patch(removed)
+            # The server closes the channel; the member's process keeps
+            # running, loses its connection and re-dials.
+            rejoiner.channel.close()
+            assert transport.heartbeat(force=True) == ["rejoiner"]
+            environment.remove_patch(removed)
+            environment.install_patch(added)
+            mark = len(transport.log)
+            admitted: list = []
+            deadline = time.monotonic() + 20.0
+            while not admitted and time.monotonic() < deadline:
+                admitted = transport.poll_rejoins(budget=0.5)
+            assert admitted == [rejoiner]
+            assert catch_ups(transport, "rejoiner", mark) == \
+                [([removed.patch_id], [added.patch_id])]
+            assert rejoiner.applied_patches() == \
+                survivor.applied_patches()
+            assert [summary["pc"]
+                    for summary in rejoiner.applied_patches()] == [0, 32]
+            manager.close()
+        finally:
+            for worker in workers:
+                worker.join(timeout=10)
+                if worker.is_alive():  # pragma: no cover - cleanup only
+                    worker.kill()
+                    worker.join(timeout=5)
+        assert [worker.exitcode for worker in workers] == [0, 0]
 
 
 # ---------------------------------------------------------------------------

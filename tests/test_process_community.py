@@ -409,6 +409,16 @@ class TestFaultInjection:
         assert_no_orphans(manager)
 
 
+def _entry_check():
+    """A check patch every run evaluates (at the entry point)."""
+    from repro.core.checks import CheckPatch, ObservationSink
+    from repro.learning.invariants import LowerBound
+    from repro.learning.variables import Variable
+
+    return CheckPatch(pc=0, invariant=LowerBound(variable=Variable(0, "esp")),
+                      sink=ObservationSink(), failure_id="fold-test")
+
+
 def _capture_check_pair():
     """A capture/check pair sharing one ValueCapture cell, as the
     two-variable checks of §2.4.2 distribute them."""
@@ -433,10 +443,10 @@ def _capture_check_pair():
 
 
 class TestRegistryRefcounting:
-    """The ROADMAP robustness debt: worker capture registries and the
-    server PatchLedger must not retain state for removed patches — a
-    pair installed as two commands keeps sharing one cell while either
-    is live, and the last removal frees it."""
+    """Worker capture registries and the server's per-member patch
+    records must not retain state for removed patches — a pair
+    installed as two commands keeps sharing one cell while either is
+    live, and the last removal frees it."""
 
     def test_worker_capture_cell_shared_then_freed(self, make_manager):
         manager = make_manager(members=1, transport="process")
@@ -491,46 +501,46 @@ class TestRegistryRefcounting:
             assert state["capture_cells"] == []
             assert state["capture_refs"] == {}
             assert state["installed_patches"] == []
-        assert manager.transport.ledger.live_entries() == 0
+        assert all(member.held == {} for member in manager.members)
         manager.close()
         assert_no_orphans(manager)
 
-    def test_ledger_refcounts_across_members(self, make_manager):
+    def test_observations_fold_while_a_member_holds_the_patch(
+            self, make_manager):
+        """Each member folds its observation events into the canonical
+        patch it holds: one member letting go does not orphan the
+        other's events."""
         manager = make_manager(members=2, transport="process")
-        ledger = manager.transport.ledger
-        capture, check = _capture_check_pair()
+        check = _entry_check()
         first, second = manager.members
-
         first.install_patch(check)
         second.install_patch(check)
-        assert ledger.live_entries() == 1
-
-        # One member letting go keeps the canonical entry resolvable
-        # (the other member's observation events still need it).
         first.remove_patch(check)
-        assert ledger.live_entries() == 1
+        assert first.applied_patches() == []
+        assert list(second.held) == [check.patch_id]
+        second.probe(learning_pages()[0])
+        assert check.sink.drain()
         second.remove_patch(check)
-        assert ledger.live_entries() == 0
+        assert second.applied_patches() == []
         manager.close()
         assert_no_orphans(manager)
 
-    def test_dropped_member_releases_ledger_holds(self, make_manager):
+    def test_dropped_member_record_is_cleared(self, make_manager):
         manager = make_manager(members=2, transport="process")
-        ledger = manager.transport.ledger
-        capture, check = _capture_check_pair()
+        check = _entry_check()
         first, second = manager.members
-
         first.install_patch(check)
         second.install_patch(check)
-        assert ledger.live_entries() == 1
 
         first.inject_fault("crash", at="probe")
         with pytest.raises(MemberFailure):
             first.probe(learning_pages()[0])
-        # The casualty's hold is released; the survivor's keeps the
-        # entry live until it too removes the patch.
-        assert ledger.live_entries() == 1
+        # The casualty's record is cleared; the survivor's events still
+        # fold into the canonical patch.
+        assert first.held == {}
+        second.probe(learning_pages()[0])
+        assert check.sink.drain()
         second.remove_patch(check)
-        assert ledger.live_entries() == 0
+        assert second.applied_patches() == []
         manager.close()
         assert_no_orphans(manager)

@@ -123,20 +123,6 @@ class TestRoundTrip:
         load_snapshot(path, fresh)
         assert fresh._edge_profile == binary._edge_profile
 
-    def test_save_snapshot_knob_writes_after_runs(self, browser,
-                                                  tmp_path):
-        binary = browser.stripped()
-        path = tmp_path / "saved.json"
-        config = EnvironmentConfig.bare()
-        config.reuse_cache = True
-        config.save_snapshot = str(path)
-        environment = ManagedEnvironment(binary, config)
-        environment.run(evaluation_pages()[0])
-        reached = load_snapshot(path, binary)
-        assert reached
-        assert {block.start for block in reached} == \
-            set(environment.last_code_cache.block_map.blocks)
-
 
 class TestStaleRejection:
     def _tamper(self, path, tmp_path, **overrides):
@@ -341,41 +327,3 @@ class TestCrashSafeSave:
         save_snapshot(path, cache, binary)
         assert path.stat().st_ino != inode_before  # rename, not rewrite
         load_snapshot(path, binary)
-
-
-class TestLedgerEpochStamp:
-    """Optional community patch-ledger stamping of snapshots."""
-
-    def test_round_trip_and_accessor(self, warm_snapshot):
-        from repro.dynamo.snapshot import snapshot_ledger_epoch
-
-        binary, path, cache = warm_snapshot
-        stamped = path.parent / "stamped.json"
-        save_snapshot(stamped, cache, binary, ledger_epoch=5)
-        payload = read_snapshot(stamped)
-        assert payload["ledger_epoch"] == 5
-        assert snapshot_ledger_epoch(payload) == 5
-        load_snapshot(stamped, binary)  # still validates
-
-    def test_unstamped_snapshots_omit_the_field(self, warm_snapshot):
-        from repro.dynamo.snapshot import snapshot_ledger_epoch
-
-        _, path, _ = warm_snapshot
-        payload = read_snapshot(path)
-        assert "ledger_epoch" not in payload
-        assert snapshot_ledger_epoch(payload) == 0
-
-    def test_invalid_epochs_are_rejected(self, warm_snapshot):
-        from repro.dynamo.snapshot import snapshot_from_dict
-
-        binary, path, cache = warm_snapshot
-        with pytest.raises(SnapshotError, match="ledger_epoch"):
-            save_snapshot(path.parent / "bad.json", cache, binary,
-                          ledger_epoch=-1)
-        with pytest.raises(SnapshotError, match="ledger_epoch"):
-            save_snapshot(path.parent / "bad.json", cache, binary,
-                          ledger_epoch=True)
-        payload = read_snapshot(path)
-        payload["ledger_epoch"] = "seven"
-        with pytest.raises(SnapshotError, match="ledger_epoch"):
-            snapshot_from_dict(payload, binary)

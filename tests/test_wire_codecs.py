@@ -240,46 +240,44 @@ class TestWireSizeAccounting:
 
 
 class TestLifecycleCodecs:
-    """The epoch-stamped hello and the rejoin catch-up payload."""
+    """The hello, which lists the patches a member holds, and the
+    admission catch-up payload."""
 
     def test_hello_round_trip(self):
-        payload = wire.hello_to_dict("node-3", epoch=17)
-        assert wire.hello_from_dict(payload) == ("node-3", 17)
+        payload = wire.hello_to_dict("node-3", held=[17, 4])
+        assert wire.hello_from_dict(payload) == ("node-3", [17, 4])
         fresh = wire.hello_to_dict("node-3")
-        assert wire.hello_from_dict(fresh) == ("node-3", 0)
+        assert wire.hello_from_dict(fresh) == ("node-3", [])
 
     @pytest.mark.parametrize("mutation", (
         {"op": "run"},              # wrong op
         {"name": ""},               # empty name
         {"name": 7},                # non-string name
-        {"epoch": -1},              # negative epoch
-        {"epoch": True},            # bool is not an int here
-        {"epoch": "3"},             # stringly typed epoch
+        {"held": 3},                # not a list
+        {"held": [True]},           # bool is not an id here
+        {"held": ["3"]},            # stringly typed id
+        {"held": None},
     ))
     def test_malformed_hellos_are_rejected(self, mutation):
-        payload = wire.hello_to_dict("node-0", epoch=2)
+        payload = wire.hello_to_dict("node-0", held=[2])
         payload.update(mutation)
         with pytest.raises(wire.WireError):
             wire.hello_from_dict(payload)
 
     def test_catch_up_round_trip(self):
         installs = [{"type": "CheckPatch", "pc": 8}]
-        payload = wire.catch_up_to_dict([4, 9], installs, epoch=6)
-        removes, replayed, epoch = wire.catch_up_from_dict(payload)
-        assert removes == [4, 9]
-        assert replayed == installs
-        assert epoch == 6
+        payload = wire.catch_up_to_dict([4, 9], installs)
+        assert wire.catch_up_from_dict(payload) == ([4, 9], installs)
 
     @pytest.mark.parametrize("mutation", (
         {"removes": 4},             # not a list
         {"removes": ["4"]},         # stringly typed ids
+        {"removes": None},
         {"installs": {}},           # not a list
         {"installs": [7]},          # entries must be dicts
-        {"epoch": -2},
-        {"epoch": None},
     ))
     def test_malformed_catch_up_is_rejected(self, mutation):
-        payload = wire.catch_up_to_dict([1], [], epoch=3)
+        payload = wire.catch_up_to_dict([1], [])
         payload.update(mutation)
         with pytest.raises(wire.WireError):
             wire.catch_up_from_dict(payload)
