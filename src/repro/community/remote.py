@@ -234,7 +234,10 @@ class FramedChannel:
             self._buffer.extend(chunk)
             self.received_bytes += len(chunk)
             progressed = True
-        if progressed:
+        if self._buffer:
+            # Parse even without new bytes: a header this channel
+            # rejected while pumped as a sibling must raise again when
+            # the channel itself is received from.
             self._parse()
         return progressed
 
@@ -1262,7 +1265,11 @@ class ChannelTransport:
            ``catch-up`` command carries the held ids the community no
            longer has and the live patches the member lacks, in install
            order.  It is sent only when one of the two is non-empty, so
-           a first spawn sends nothing.
+           a first spawn sends nothing.  The member keeps the longest
+           prefix of the live list that its held ids contain in order,
+           and every other held id is withdrawn, so it ends holding the
+           live set in the survivors' order: a patch removed and
+           reinstalled while it was away is withdrawn and sent again.
 
         The member's record is the live set from here on.  Returns False
         when the member was dropped during catch-up.
@@ -1277,10 +1284,14 @@ class ChannelTransport:
             self.members.append(member)
         held = list(held)
         member.held = {patch.patch_id: patch for patch in self.patches}
-        removes = [patch_id for patch_id in held
-                   if patch_id not in member.held]
-        installs = [patch for patch in self.patches
-                    if patch.patch_id not in held]
+        kept = 0
+        for patch_id in held:
+            if kept < len(self.patches) and \
+                    patch_id == self.patches[kept].patch_id:
+                kept += 1
+        keep = {patch.patch_id for patch in self.patches[:kept]}
+        removes = [patch_id for patch_id in held if patch_id not in keep]
+        installs = self.patches[kept:]
         if removes or installs:
             try:
                 member.call("catch-up", **wire.catch_up_to_dict(

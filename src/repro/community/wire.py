@@ -110,9 +110,9 @@ def catch_up_to_dict(removes: list[int], installs: list[dict]) -> dict:
     """The admission command that reconciles a member's patches.
 
     ``removes`` are ids the member holds that the community no longer
-    has; ``installs`` are the wire-form live patches
-    (:func:`patch_to_dict`) it lacks, in install order.  The member
-    applies the removes first.
+    has (or holds out of install order); ``installs`` are the wire-form
+    live patches (:func:`patch_to_dict`) it lacks, in install order.
+    The member applies the removes first.
     """
     return {"removes": [int(patch_id) for patch_id in removes],
             "installs": list(installs)}

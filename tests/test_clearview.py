@@ -272,16 +272,29 @@ class TestEveryCandidateVetoed:
 
 
 class TestAdaptiveProtectionStart:
-    def test_starts_cheap_without_counting_a_relaxation(self, protected):
-        """Wrapping an environment built with every monitor on
-        (``EnvironmentConfig.full()``) puts it in the cheap
-        configuration; nothing has been relaxed yet."""
-        binary, clearview = protected
-        assert clearview.environment.config.heap_guard
+    @pytest.mark.parametrize("monitors", (
+        None, ("heap_guard",), ("shadow_stack",), ()),
+        ids=("full", "heap-guard", "shadow-stack", "no-monitors"))
+    def test_starts_cheap_without_counting_a_relaxation(self, protected,
+                                                        monitors):
+        """Whatever monitors the wrapped environment was built with
+        (all of them, as ``EnvironmentConfig.full()`` builds it, or
+        *monitors* alone), the policy starts on the Memory Firewall
+        alone; nothing has been relaxed or escalated yet."""
+        _, clearview = protected
+        config = clearview.environment.config
+        if monitors is None:
+            assert config.heap_guard and config.shadow_stack
+        else:
+            config.memory_firewall = config.heap_guard = \
+                config.shadow_stack = False
+            for monitor in monitors:
+                setattr(config, monitor, True)
         protection = AdaptiveProtection(clearview)
         assert not protection.elevated
-        assert protection.relaxations == 0
-        assert protection.escalations == 0
+        assert (config.memory_firewall, config.heap_guard,
+                config.shadow_stack) == (True, False, False)
+        assert (protection.relaxations, protection.escalations) == (0, 0)
 
 
 class TestOneJudge:

@@ -81,6 +81,23 @@ class TestSnapshotCommand:
         assert main(["snapshot", "info", str(path)]) == 1
         assert "compatible:  no" in capsys.readouterr().out
 
+    def test_info_accepts_a_file_an_older_build_stamped(self, capsys,
+                                                        tmp_path):
+        """A snapshot stamped with a patch-ledger epoch by an earlier
+        build is still compatible."""
+        import json
+
+        path = tmp_path / "cache.json"
+        assert main(["snapshot", "save", str(path)]) == 0
+        capsys.readouterr()
+        payload = json.loads(path.read_text())
+        payload["ledger_epoch"] = 4
+        path.write_text(json.dumps(payload))
+        assert main(["snapshot", "info", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "compatible:  yes" in out
+        assert "ledger" not in out
+
     def test_info_unreadable_file(self, capsys, tmp_path):
         assert main(["snapshot", "info",
                      str(tmp_path / "missing.json")]) == 1

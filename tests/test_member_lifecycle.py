@@ -389,6 +389,112 @@ class TestOneWayIn:
 
 
 # ---------------------------------------------------------------------------
+# Admission reconciles a member against the patches it holds
+# ---------------------------------------------------------------------------
+
+class TestAdmissionReconciles:
+    """What a member that comes back with its session intact is sent.
+
+    In-process members keep their session when dropped (closing a
+    loopback channel releases nothing), so admitting one again over
+    its own channel, with the ids it held when it went away, is a
+    reconnect with the session intact — without a worker process.
+    """
+
+    @pytest.fixture
+    def community(self, make_manager):
+        manager = make_manager(members=2, transport="in-process")
+        rejoiner, survivor = manager.members
+        return manager.environment, rejoiner, survivor
+
+    @staticmethod
+    def away(member) -> list[int]:
+        """Drop *member* as a failed command would; returns the ids of
+        the patches it held, which its hello lists when it returns."""
+        held = list(member.held)
+        member._drop("crash", "ping", "member went away")
+        assert member.held == {}
+        return held
+
+    @staticmethod
+    def rejoin(member, held: list[int]) -> list:
+        """Admit *member* again; returns the catch-ups it was sent."""
+        transport = member._transport
+        mark = len(transport.log)
+        assert transport.admit(member, member.channel, held=held)
+        return catch_ups(transport, member.name, mark)
+
+    def test_member_holding_the_live_set_gets_no_catch_up(self, community):
+        environment, rejoiner, survivor = community
+        for pc in (16, 0):
+            environment.install_patch(PokePatch(pc=pc))
+        held = self.away(rejoiner)
+        assert self.rejoin(rejoiner, held) == []
+        assert list(rejoiner.held) == held
+        assert rejoiner.applied_patches() == survivor.applied_patches()
+
+    def test_patch_installed_and_removed_while_away_is_never_sent(
+            self, community):
+        """A patch that came and went while the member was away reaches
+        it neither way: it never holds it, not even for a moment."""
+        environment, rejoiner, survivor = community
+        held = self.away(rejoiner)
+        doomed, kept = PokePatch(pc=0), PokePatch(pc=16)
+        environment.install_patch(doomed)
+        environment.install_patch(kept)
+        environment.remove_patch(doomed)
+        assert self.rejoin(rejoiner, held) == [([], [kept.patch_id])]
+        assert rejoiner.applied_patches() == survivor.applied_patches()
+
+    def test_held_patch_removed_while_away_is_withdrawn(self, community):
+        environment, rejoiner, survivor = community
+        patch = PokePatch(pc=0)
+        environment.install_patch(patch)
+        held = self.away(rejoiner)
+        environment.remove_patch(patch)
+        assert self.rejoin(rejoiner, held) == [([patch.patch_id], [])]
+        assert rejoiner.applied_patches() == []
+        assert survivor.applied_patches() == []
+
+    def test_patch_reinstalled_while_away_returns_to_install_order(
+            self, community):
+        """A held patch removed and reinstalled while the member was
+        away is live again, but last in install order: it is withdrawn
+        and sent again, so the rejoiner holds the survivors' order."""
+        environment, rejoiner, survivor = community
+        moved, stayed = PokePatch(pc=0), PokePatch(pc=16)
+        environment.install_patch(moved)
+        environment.install_patch(stayed)
+        held = self.away(rejoiner)
+        environment.remove_patch(moved)
+        environment.install_patch(moved)
+        assert self.rejoin(rejoiner, held) == \
+            [([moved.patch_id], [moved.patch_id])]
+        assert list(rejoiner.held) == [stayed.patch_id, moved.patch_id]
+        assert rejoiner.applied_patches() == survivor.applied_patches()
+        assert [summary["pc"] for summary in rejoiner.applied_patches()] \
+            == [16, 0]
+
+    def test_hello_listing_a_patch_it_lacks_drops_the_member(
+            self, community):
+        """A hello that claims a patch the worker does not hold cannot
+        be reconciled: the catch-up's removal fails and the member is
+        dropped instead of serving with an unknown patch set."""
+        environment, rejoiner, survivor = community
+        patch = PokePatch(pc=0)
+        environment.install_patch(patch)
+        environment.remove_patch(patch)
+        self.away(rejoiner)
+        transport = rejoiner._transport
+        assert transport.admit(rejoiner, rejoiner.channel,
+                               held=[patch.patch_id]) is False
+        assert rejoiner.state == "dropped"
+        assert transport.dropped[-1].reason == "error"
+        assert "unheld" in transport.dropped[-1].detail
+        assert survivor.state == "active"
+
+
+# ---------------------------------------------------------------------------
 # Quorum policy and degraded-mode reporting
 # ---------------------------------------------------------------------------
 

@@ -217,6 +217,44 @@ class TestFramedChannel:
         a.close(), b.close()
 
 
+class TestSiblingPump:
+    """While one channel waits for its frame, the siblings it is handed
+    keep draining their sockets."""
+
+    def test_waiting_pumps_readable_siblings(self):
+        a, b = _channel_pair()
+        peer, sibling = _channel_pair()
+        peer.send_frame(b"sibling reply")
+
+        import threading
+
+        writer = threading.Timer(0.1, a.send_frame, args=(b"own reply",))
+        writer.start()
+        assert b.recv_frame(timeout=5.0, siblings=[sibling]) == \
+            b"own reply"
+        writer.join(timeout=5)
+        # The sibling's frame was read off its socket during the wait.
+        assert sibling.received_bytes == peer.sent_bytes
+        assert sibling.recv_frame(timeout=0.0) == b"sibling reply"
+        for channel in (a, b, peer, sibling):
+            channel.close()
+
+    def test_sibling_protocol_error_surfaces_on_its_own_receive(self):
+        """A sibling whose header is rejected while it is pumped for
+        another channel's wait fails as soon as it is received from,
+        not after its reply deadline."""
+        a, b = _channel_pair()
+        peer, sibling = _channel_pair()
+        peer.send_raw(struct.pack(">I", (1 << 30) + 1) + b"xx")
+        with pytest.raises(ChannelTimeout):
+            b.recv_frame(timeout=0.2, siblings=[sibling])
+        assert sibling.received_bytes == 6
+        with pytest.raises(ChannelError, match="oversized frame"):
+            sibling.recv_frame(timeout=5.0)
+        for channel in (a, b, peer, sibling):
+            channel.close()
+
+
 # ---------------------------------------------------------------------------
 # The per-op deadline table (no prefix games)
 # ---------------------------------------------------------------------------

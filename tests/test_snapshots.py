@@ -123,6 +123,18 @@ class TestRoundTrip:
         load_snapshot(path, fresh)
         assert fresh._edge_profile == binary._edge_profile
 
+    def test_older_ledger_stamp_is_ignored(self, warm_snapshot, tmp_path):
+        """Earlier builds could stamp a community patch-ledger epoch
+        into the file; such a snapshot still loads, to the same
+        state."""
+        binary, path, _ = warm_snapshot
+        payload = read_snapshot(path)
+        payload["ledger_epoch"] = 4
+        stamped = tmp_path / "stamped.json"
+        stamped.write_text(json.dumps(payload))
+        assert load_snapshot(stamped, binary.stripped()) == \
+            load_snapshot(path, binary.stripped())
+
 
 class TestStaleRejection:
     def _tamper(self, path, tmp_path, **overrides):
